@@ -235,6 +235,16 @@ def _emit(args, payload, human):
         print(human)
 
 
+def _at_least(low):
+    """An argparse type for integers no smaller than low."""
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return value
+    return count
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="pombox",
@@ -282,15 +292,15 @@ def build_parser():
 
     q = sub.add_parser("examples", help="run a built-in case study")
     q.add_argument("name", choices=("counter", "voting"))
-    q.add_argument("--voters", type=int, default=2)
-    q.add_argument("--counters", type=int, default=2)
+    q.add_argument("--voters", type=_at_least(1), default=2)
+    q.add_argument("--counters", type=_at_least(1), default=2)
 
     q = sub.add_parser("fuzz", help="differential engine-vs-oracle fuzzing")
-    q.add_argument("--cases", type=int, default=50)
+    q.add_argument("--cases", type=_at_least(0), default=50)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--max-events", type=int, default=3)
-    q.add_argument("--formula-depth", type=int, default=3)
-    q.add_argument("--cap", type=int, default=2)
+    q.add_argument("--max-events", type=_at_least(0), default=3)
+    q.add_argument("--formula-depth", type=_at_least(0), default=3)
+    q.add_argument("--cap", type=_at_least(0), default=2)
     return p
 
 

@@ -17,9 +17,9 @@ order/boxes).
 import itertools
 
 from . import posets, terms
-from .posets import (Poset, unit, atom, seq, par, boxed, iso, subsumed_by,
-                     find_homomorphism, weakenings, strengthenings,
-                     strengthenings_truncated)
+from .posets import (Poset, unit, atom, seq, par, iso, subsumed_by,
+                     weakenings, strengthenings, strengthenings_truncated,
+                     subsets, split_ok)
 from .terms import FragmentError
 
 EMP = ("emp",)
@@ -191,33 +191,9 @@ def contains_boxmod(f):
 # the compositional satisfaction engine
 
 
-def _subsets(n):
-    out = []
-    evs = list(range(n))
-    for k in range(n + 1):
-        for sub in itertools.combinations(evs, k):
-            out.append(frozenset(sub))
-    return out
-
-
-def _nested(P, A):
-    return all(box <= A or not (box & A) for box in P.boxes)
-
-
-def _prefix(P, A, comp):
-    return all((a, b) in P.order for a in A for b in comp)
-
-
-def _isolated(P, A, comp):
-    return all((a, b) not in P.order and (b, a) not in P.order
-               for a in A for b in comp)
-
-
-def _downset(P, A, comp):
-    return all((b, a) not in P.order for a in A for b in comp)
-
-
 _MEMO = {}
+
+_SPLITS = ("seqthen", "parnext", "ctx")
 
 
 def clear_memo():
@@ -225,20 +201,6 @@ def clear_memo():
     _ORACLE_MEMO.clear()
     _ORACLE_STRUCT_MEMO.clear()
     _SPACE_CACHE.clear()
-
-
-def _seq_split_ok(P, A, comp, rel):
-    if rel == "iso":
-        return _prefix(P, A, comp) and _nested(P, A)
-    if rel == "sub":
-        return _prefix(P, A, comp)
-    return _nested(P, A) and _downset(P, A, comp)
-
-
-def _par_split_ok(P, A, comp, rel):
-    if rel == "sub":
-        return True
-    return _isolated(P, A, comp) and _nested(P, A)
 
 
 def sat_bool(P, f, rel):
@@ -254,59 +216,56 @@ def _sat(P, f, rel):
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    res = _sat_raw(P, f, rel)
+    res = _choose(P, f, rel) is not None
     _MEMO[key] = res
     return res
 
 
-def _sat_raw(P, f, rel):
+def _box_interior(P, rel):
+    """The poset a box modality's subformula is checked on, or None when
+    P lacks the full box the relation demands."""
+    if P.n == 0:
+        return P
+    if rel in ("iso", "sub") and not P.has_full_box():
+        return None
+    return P.without_full_box()
+
+
+def _choose(P, f, rel):
+    """How the top clause of f holds on P: the split A for |>, || and <>,
+    "left" or "right" for \\/, True for the other clauses, and None when
+    the clause fails.  The empty split is a valid choice, so callers test
+    the result against None."""
     kind = f[0]
-    if kind == "emp":
-        return P.n == 0
-    if kind == "atom":
-        if P.n != 1 or P.labels[0] != f[1]:
-            return False
-        return True if rel == "sub" else not P.boxes
-    if kind == "and":
-        return _sat(P, f[1], rel) and _sat(P, f[2], rel)
+    if kind in _SPLITS:
+        all_ev = frozenset(range(P.n))
+        for A in subsets(P.n):
+            comp = all_ev - A
+            if not split_ok(P, A, comp, kind, rel):
+                continue
+            if _sat(P.restrict(A), f[1], rel) and (
+                    kind == "ctx" or _sat(P.restrict(comp), f[2], rel)):
+                return A
+        return None
     if kind == "or":
-        return _sat(P, f[1], rel) or _sat(P, f[2], rel)
-    if kind == "neg":
-        return not _sat(P, f[1], rel)
-    if kind == "seqthen":
-        all_ev = frozenset(range(P.n))
-        for A in _subsets(P.n):
-            comp = all_ev - A
-            if not _seq_split_ok(P, A, comp, rel):
-                continue
-            if _sat(P.restrict(A), f[1], rel) and \
-                    _sat(P.restrict(comp), f[2], rel):
-                return True
-        return False
-    if kind == "parnext":
-        all_ev = frozenset(range(P.n))
-        for A in _subsets(P.n):
-            comp = all_ev - A
-            if not _par_split_ok(P, A, comp, rel):
-                continue
-            if _sat(P.restrict(A), f[1], rel) and \
-                    _sat(P.restrict(comp), f[2], rel):
-                return True
-        return False
-    if kind == "boxmod":
-        if P.n == 0:
-            return _sat(P, f[1], rel)
-        if rel in ("iso", "sub") and not P.has_full_box():
-            return False
-        return _sat(P.without_full_box(), f[1], rel)
-    if kind == "ctx":
-        for A in _subsets(P.n):
-            if rel != "sub" and not _nested(P, A):
-                continue
-            if _sat(P.restrict(A), f[1], rel):
-                return True
-        return False
-    raise ValueError("bad formula node %r" % (kind,))
+        if _sat(P, f[1], rel):
+            return "left"
+        return "right" if _sat(P, f[2], rel) else None
+    if kind == "emp":
+        ok = P.n == 0
+    elif kind == "atom":
+        ok = (P.n == 1 and P.labels[0] == f[1]
+              and (rel == "sub" or not P.boxes))
+    elif kind == "and":
+        ok = _sat(P, f[1], rel) and _sat(P, f[2], rel)
+    elif kind == "neg":
+        ok = not _sat(P, f[1], rel)
+    elif kind == "boxmod":
+        inner = _box_interior(P, rel)
+        ok = inner is not None and _sat(inner, f[1], rel)
+    else:
+        raise ValueError("bad formula node %r" % (kind,))
+    return True if ok else None
 
 
 class SatResult:
@@ -327,48 +286,32 @@ def sat(P, f, rel="iso"):
 
 
 def _witness(P, f, rel):
-    """Rebuild a structured trace for a query known to hold."""
+    """Rebuild a structured trace for a query known to hold by following
+    the choices of _choose."""
     kind = f[0]
-    if kind == "emp":
-        return {"rule": "emp"}
+    if kind in ("emp", "neg"):
+        return {"rule": kind}
     if kind == "atom":
         return {"rule": "atom", "label": f[1]}
     if kind == "and":
         return {"rule": "and", "left": _witness(P, f[1], rel),
                 "right": _witness(P, f[2], rel)}
-    if kind == "or":
-        if _sat(P, f[1], rel):
-            return {"rule": "or", "side": "left",
-                    "sub": _witness(P, f[1], rel)}
-        return {"rule": "or", "side": "right",
-                "sub": _witness(P, f[2], rel)}
-    if kind == "neg":
-        return {"rule": "neg"}
-    if kind in ("seqthen", "parnext"):
-        all_ev = frozenset(range(P.n))
-        ok = _seq_split_ok if kind == "seqthen" else _par_split_ok
-        for A in _subsets(P.n):
-            comp = all_ev - A
-            if not ok(P, A, comp, rel):
-                continue
-            if _sat(P.restrict(A), f[1], rel) and \
-                    _sat(P.restrict(comp), f[2], rel):
-                return {"rule": kind, "A": sorted(A),
-                        "left": _witness(P.restrict(A), f[1], rel),
-                        "right": _witness(P.restrict(comp), f[2], rel)}
-        raise AssertionError("witness lost")
     if kind == "boxmod":
-        inner = P if P.n == 0 else P.without_full_box()
-        return {"rule": "boxmod", "sub": _witness(inner, f[1], rel)}
-    if kind == "ctx":
-        for A in _subsets(P.n):
-            if rel != "sub" and not _nested(P, A):
-                continue
-            if _sat(P.restrict(A), f[1], rel):
-                return {"rule": "ctx", "A": sorted(A),
-                        "sub": _witness(P.restrict(A), f[1], rel)}
+        return {"rule": "boxmod",
+                "sub": _witness(_box_interior(P, rel), f[1], rel)}
+    how = _choose(P, f, rel)
+    if how is None:
         raise AssertionError("witness lost")
-    raise ValueError("bad formula node %r" % (kind,))
+    if kind == "or":
+        sub = f[1] if how == "left" else f[2]
+        return {"rule": "or", "side": how, "sub": _witness(P, sub, rel)}
+    if kind == "ctx":
+        return {"rule": "ctx", "A": sorted(how),
+                "sub": _witness(P.restrict(how), f[1], rel)}
+    comp = frozenset(range(P.n)) - how
+    return {"rule": kind, "A": sorted(how),
+            "left": _witness(P.restrict(how), f[1], rel),
+            "right": _witness(P.restrict(comp), f[2], rel)}
 
 
 def replay(P, f, rel, witness):
@@ -377,10 +320,8 @@ def replay(P, f, rel, witness):
     rule = witness.get("rule")
     if rule != kind:
         return False
-    if kind == "emp":
-        return P.n == 0
-    if kind == "atom":
-        return _sat_raw(P, f, rel)
+    if kind in ("emp", "atom"):
+        return _choose(P, f, rel) is not None
     if kind == "and":
         return (replay(P, f[1], rel, witness["left"])
                 and replay(P, f[2], rel, witness["right"]))
@@ -391,27 +332,20 @@ def replay(P, f, rel, witness):
     if kind == "neg":
         # negative subgoals carry no constructive trace
         return not _sat(P, f[1], rel)
-    if kind in ("seqthen", "parnext"):
+    if kind in _SPLITS:
         A = frozenset(witness["A"])
-        comp = frozenset(range(P.n)) - A
-        ok = _seq_split_ok if kind == "seqthen" else _par_split_ok
-        if not ok(P, A, comp, rel):
+        all_ev = frozenset(range(P.n))
+        comp = all_ev - A
+        if not A <= all_ev or not split_ok(P, A, comp, kind, rel):
             return False
+        if kind == "ctx":
+            return replay(P.restrict(A), f[1], rel, witness["sub"])
         return (replay(P.restrict(A), f[1], rel, witness["left"])
                 and replay(P.restrict(comp), f[2], rel, witness["right"]))
     if kind == "boxmod":
-        if P.n == 0:
-            return replay(P, f[1], rel, witness["sub"])
-        if rel in ("iso", "sub") and not P.has_full_box():
-            return False
-        return replay(P.without_full_box(), f[1], rel, witness["sub"])
-    if kind == "ctx":
-        A = frozenset(witness["A"])
-        if not A <= frozenset(range(P.n)):
-            return False
-        if rel != "sub" and not _nested(P, A):
-            return False
-        return replay(P.restrict(A), f[1], rel, witness["sub"])
+        inner = _box_interior(P, rel)
+        return inner is not None and replay(inner, f[1], rel,
+                                            witness["sub"])
     return False
 
 
@@ -592,28 +526,25 @@ def _oracle_raw(P, f, rel, cap):
     space, truncated = _witness_space(P, rel, cap, contains_boxmod(f))
     gate = truncated
 
-    if kind in ("seqthen", "parnext"):
-        want = "prefix" if kind == "seqthen" else "isolated"
-
+    if kind in _SPLITS:
+        # every witness is checked up to isomorphism, so the split rule
+        # is always the iso one
         def results():
             for W in space:
                 all_ev = frozenset(range(W.n))
-                for A in _subsets(W.n):
+                for A in subsets(W.n):
                     _tick(3)
                     comp = all_ev - A
-                    flags = posets.classify_subset(W, A)
-                    if not (flags["nested"] and flags[want]):
+                    if not split_ok(W, A, comp, kind):
                         continue
                     l = _oracle(W.restrict(A), f[1], rel, cap)
                     if l is False:
                         continue
-                    r = _oracle(W.restrict(comp), f[2], rel, cap)
+                    r = (True if kind == "ctx"
+                         else _oracle(W.restrict(comp), f[2], rel, cap))
                     if r is False:
                         continue
-                    if l is True and r is True:
-                        yield True
-                    else:
-                        yield UNKNOWN
+                    yield True if l is True and r is True else UNKNOWN
         return _tv_exists(results(), gate)
 
     if kind == "boxmod":
@@ -625,16 +556,6 @@ def _oracle_raw(P, f, rel, cap):
                 if not W.has_full_box():
                     continue
                 yield _oracle(W.without_full_box(), f[1], rel, cap)
-        return _tv_exists(results(), gate)
-
-    if kind == "ctx":
-        def results():
-            for W in space:
-                for A in _subsets(W.n):
-                    _tick(3)
-                    if not _nested(W, A):
-                        continue
-                    yield _oracle(W.restrict(A), f[1], rel, cap)
         return _tv_exists(results(), gate)
 
     raise ValueError("bad formula node %r" % (kind,))

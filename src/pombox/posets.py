@@ -78,9 +78,6 @@ class Poset:
     def leq(self, a, b):
         return a == b or (a, b) in self.order
 
-    def events(self):
-        return range(self.n)
-
     def below_counts(self):
         below = [0] * self.n
         above = [0] * self.n
@@ -213,46 +210,61 @@ def from_edges(labels, edges, boxes):
 # structural predicates
 
 
+def subsets(n):
+    """Every subset of the events 0..n-1 as a frozenset, lazily, smallest
+    first and in itertools.combinations order within each size."""
+    evs = range(n)
+    for k in range(n + 1):
+        for sub in itertools.combinations(evs, k):
+            yield frozenset(sub)
+
+
+def _nested(P, A):
+    return all(box <= A or not (box & A) for box in P.boxes)
+
+
+def _prefix(P, A, comp):
+    return all((a, b) in P.order for a in A for b in comp)
+
+
+def _isolated(P, A, comp):
+    return all((a, b) not in P.order and (b, a) not in P.order
+               for a in A for b in comp)
+
+
+def _downset(P, A, comp):
+    return all((b, a) not in P.order for a in A for b in comp)
+
+
+def split_ok(P, A, comp, kind, rel="iso"):
+    """Whether splitting P into A and its complement comp is legal for the
+    clause kind ("seqthen", "parnext", or "ctx", which keeps only A) under
+    rel.  Under iso, A must be box-nested and a prefix (|>) or isolated
+    (||); sub drops all but the prefix test, rev relaxes prefix to
+    down-set."""
+    if kind == "seqthen":
+        if rel == "iso":
+            return _prefix(P, A, comp) and _nested(P, A)
+        if rel == "sub":
+            return _prefix(P, A, comp)
+        return _nested(P, A) and _downset(P, A, comp)
+    if kind == "parnext":
+        return rel == "sub" or (_isolated(P, A, comp) and _nested(P, A))
+    if kind == "ctx":
+        return rel == "sub" or _nested(P, A)
+    raise ValueError("bad split kind %r" % (kind,))
+
+
 def classify_subset(P, A):
-    A = set(A)
-    if not A <= set(range(P.n)):
+    A = frozenset(A)
+    all_ev = frozenset(range(P.n))
+    if not A <= all_ev:
         raise PosetError("subset out of range")
-    comp = set(range(P.n)) - A
-    prefix = all((a, b) in P.order for a in A for b in comp)
-    isolated = all((a, b) not in P.order and (b, a) not in P.order
-                   for a in A for b in comp)
-    nested = all(box <= A or not (box & A) for box in P.boxes)
-    downset = all((b, a) not in P.order for a in A for b in comp)
-    nontrivial = bool(A) and bool(comp)
-    return {"nontrivial": nontrivial, "nested": nested, "prefix": prefix,
-            "isolated": isolated, "downset": downset}
-
-
-def split_check(P, A, mode):
-    A = set(A)
-    flags = classify_subset(P, A)
-    if mode == "seq":
-        by_flags = flags["prefix"] and flags["nested"]
-        recomposed = seq(P.restrict(A), P.restrict(set(range(P.n)) - A))
-    elif mode == "par":
-        by_flags = flags["isolated"] and flags["nested"]
-        recomposed = par(P.restrict(A), P.restrict(set(range(P.n)) - A))
-    else:
-        raise ValueError("mode must be seq or par")
-    # the flag test must agree with an explicit isomorphism check; the
-    # iso is built directly from the id renaming, no search needed
-    kept = sorted(A) + sorted(set(range(P.n)) - A)
-    mapping = {new: old for new, old in enumerate(kept)}
-    by_iso = all(P.labels[mapping[e]] == recomposed.labels[e]
-                 for e in range(P.n))
-    if by_iso:
-        mapped_order = frozenset((mapping[a], mapping[b])
-                                 for (a, b) in recomposed.order)
-        mapped_boxes = frozenset(frozenset(mapping[e] for e in box)
-                                 for box in recomposed.boxes)
-        by_iso = mapped_order == P.order and mapped_boxes == P.boxes
-    assert by_flags == by_iso, "split_check flag/iso disagreement"
-    return by_flags
+    comp = all_ev - A
+    return {"nontrivial": bool(A) and bool(comp), "nested": _nested(P, A),
+            "prefix": _prefix(P, A, comp),
+            "isolated": _isolated(P, A, comp),
+            "downset": _downset(P, A, comp)}
 
 
 # ---------------------------------------------------------------------------
@@ -295,39 +307,11 @@ def _check_complete(src, tgt, h, mode):
     return Morphism(h, order_refl, box_refl)
 
 
-def _find_hom_reference(src, tgt, mode):
-    """Pruning-free exhaustive search, kept for differential testing."""
-    if src.n != tgt.n:
-        return None
-    if sorted(src.labels) != sorted(tgt.labels):
-        return None
-    by_label = {}
-    for e in range(tgt.n):
-        by_label.setdefault(tgt.labels[e], []).append(e)
-    src_groups = {}
-    for e in range(src.n):
-        src_groups.setdefault(src.labels[e], []).append(e)
-    labels = sorted(src_groups)
-    for combo in itertools.product(
-            *[itertools.permutations(by_label[l]) for l in labels]):
-        h = [None] * src.n
-        for l, perm in zip(labels, combo):
-            for e, t in zip(src_groups[l], perm):
-                h[e] = t
-        if all((h[a], h[b]) in tgt.order for (a, b) in src.order):
-            m = _check_complete(src, tgt, h, mode)
-            if m is not None:
-                return m
-    return None
-
-
-def find_homomorphism(src, tgt, mode=ANY, use_pruning=True):
+def find_homomorphism(src, tgt, mode=ANY):
     """Search for a label-respecting bijection src -> tgt mapping order
     into order and boxes into boxes, refined per mode."""
     if mode not in (ANY, ORDER_REFLECTING, BOX_REFLECTING, ISO):
         raise ValueError("bad mode %r" % (mode,))
-    if not use_pruning:
-        return _find_hom_reference(src, tgt, mode)
     if src.n != tgt.n:
         return None
     if sorted(src.labels) != sorted(tgt.labels):
@@ -449,13 +433,6 @@ def weakenings(P):
             for j in range(len(boxes) + 1):
                 for bsub in itertools.combinations(boxes, j):
                     yield Poset(P.labels, sub, bsub, _checked=True)
-
-
-def box_weakenings(P):
-    boxes = sorted(P.boxes, key=lambda b: (len(b), sorted(b)))
-    for j in range(len(boxes) + 1):
-        for bsub in itertools.combinations(boxes, j):
-            yield Poset(P.labels, P.order, bsub, _checked=True)
 
 
 def order_extensions(P):
@@ -580,14 +557,17 @@ def from_json(data):
         boxes = data.get("boxes", [])
     except (TypeError, KeyError):
         raise PosetError("poset JSON needs an 'events' list")
-    ids = [ev["id"] for ev in events]
-    if len(set(ids)) != len(ids):
+    try:
+        labels = {ev["id"]: str(ev["label"]) for ev in events}
+    except (TypeError, KeyError):
+        raise PosetError("every poset JSON event needs an 'id' and a 'label'")
+    if len(labels) != len(events):
         raise PosetError("duplicate event ids")
-    if sorted(ids) != list(range(len(ids))):
+    if set(labels) != set(range(len(labels))):
         raise PosetError("event ids must be exactly 0..n-1")
-    labels = [None] * len(ids)
-    for ev in events:
-        labels[ev["id"]] = str(ev["label"])
+    if not all(labels.values()):
+        raise PosetError("event labels must be non-empty")
+    labels = [labels[e] for e in range(len(labels))]
     return from_edges(labels, [tuple(e) for e in order],
                       [set(b) for b in boxes])
 

@@ -9,9 +9,8 @@ Term AST nodes are plain tuples:
 
 import itertools
 
-from . import posets
-from .posets import (Poset, unit, atom, seq, par, boxed, iso, subsumed_by,
-                     find_homomorphism)
+from .posets import (unit, atom, seq, par, boxed, iso, subsumed_by,
+                     subsets, split_ok)
 
 ZERO = ("zero",)
 ONE = ("one",)
@@ -372,14 +371,6 @@ def sp_check(P):
     return None
 
 
-def _subsets_ascending(n, proper=True):
-    evs = list(range(n))
-    top = n if proper else n + 1
-    for k in range(1, top):
-        for sub in itertools.combinations(evs, k):
-            yield set(sub)
-
-
 def synthesize_term(P):
     """Rebuild a series-parallel term denoting P, or None when P contains
     a forbidden pattern."""
@@ -392,22 +383,17 @@ def synthesize_term(P):
         return ("box", inner)
     if P.n == 1:
         return ("atom", P.labels[0])
-    for A in _subsets_ascending(P.n):
-        flags = posets.classify_subset(P, A)
-        if flags["nested"] and flags["prefix"]:
+    all_ev = frozenset(range(P.n))
+    for kind, node in (("seqthen", "seq"), ("parnext", "par")):
+        for A in subsets(P.n):
+            comp = all_ev - A
+            if not A or not comp or not split_ok(P, A, comp, kind):
+                continue
             l = synthesize_term(P.restrict(A))
-            r = synthesize_term(P.restrict(set(range(P.n)) - A))
+            r = synthesize_term(P.restrict(comp))
             if l is None or r is None:
                 return None
-            return ("seq", l, r)
-    for A in _subsets_ascending(P.n):
-        flags = posets.classify_subset(P, A)
-        if flags["nested"] and flags["isolated"]:
-            l = synthesize_term(P.restrict(A))
-            r = synthesize_term(P.restrict(set(range(P.n)) - A))
-            if l is None or r is None:
-                return None
-            return ("par", l, r)
+            return (node, l, r)
     return None
 
 
@@ -441,15 +427,8 @@ def decide(sys, lhs, rhs, kind):
                          "use cmb or csrb for leq" % sys)
     A = interp(lhs)
     B = interp(rhs)
-    if sys == "bsp":
+    if sys in ("bsp", "bsr"):
         return set_rel(A, B, "iso_eq")
-    if sys == "cmb":
-        if kind == "leq":
-            return set_rel(A, B, "subsume")
-        return set_rel(A, B, "subsume") and set_rel(B, A, "subsume")
-    if sys == "bsr":
-        return set_rel(A, B, "iso_eq")
-    # csrb: compare downward closures, decided pointwise
-    if kind == "leq":
-        return set_rel(A, B, "subsume")
-    return set_rel(A, B, "subsume") and set_rel(B, A, "subsume")
+    # cmb and csrb: subsumption, pointwise, checked both ways for eq
+    return set_rel(A, B, "subsume") and (
+        kind == "leq" or set_rel(B, A, "subsume"))

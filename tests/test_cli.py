@@ -53,6 +53,32 @@ def test_usage_error_exits_two():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("events", [
+    [{"id": 0}],                    # no label
+    [{"label": "a"}],               # no id
+    [{"id": 0, "label": ""}],       # empty label
+], ids=["no-label", "no-id", "empty-label"])
+def test_malformed_poset_json_exits_two(tmp_path, events):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"events": events}), encoding="utf-8")
+    r = run_cli("mc", "--formula", "a", "--poset-json", str(path))
+    assert r.returncode == 2 and "error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "voting", "--voters", "0"],
+    ["examples", "voting", "--counters", "0"],
+    ["fuzz", "--max-events", "-1"],
+    ["fuzz", "--formula-depth", "-1"],
+    ["fuzz", "--cases", "-1"],
+    ["fuzz", "--cap", "-1"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_out_of_range_count_exits_two(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # model checking
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from pombox import posets, terms, testkit
 from pombox.posets import (
     Poset, PosetError, unit, atom, seq, par, boxed, from_edges, iso,
-    subsumed_by, find_homomorphism, _find_hom_reference, ANY, ISO,
-    ORDER_REFLECTING, BOX_REFLECTING, classify_subset, split_check,
+    subsumed_by, find_homomorphism, ANY, ISO,
+    ORDER_REFLECTING, BOX_REFLECTING, classify_subset, split_ok, subsets,
     factorize_subsumption, weakenings, strengthenings, canonical_key,
     transitive_closure, transitive_reduction, from_json, to_json, to_dot,
 )
@@ -144,7 +144,7 @@ def test_find_homomorphism_agrees_with_reference():
         tgt = testkit.gen_poset(cfg, grng)
         for mode in (ANY, ORDER_REFLECTING, BOX_REFLECTING, ISO):
             fast = find_homomorphism(src, tgt, mode)
-            ref = _find_hom_reference(src, tgt, mode)
+            ref = testkit.find_hom_reference(src, tgt, mode)
             assert (fast is None) == (ref is None), (src, tgt, mode)
             if fast is not None:
                 assert posets._check_complete(src, tgt, fast.map,
@@ -193,10 +193,45 @@ def test_split_check_modes_match_explicit_recomposition():
         for A in map(set, itertools.chain.from_iterable(
                 itertools.combinations(range(P.n), k)
                 for k in range(P.n + 1))):
-            for mode in ("seq", "par"):
+            comp = set(range(P.n)) - A
+            for mode, kind in (("seq", "seqthen"), ("par", "parnext")):
                 # split_check internally asserts agreement between the
                 # flag route and the explicit recomposition route
-                split_check(P, A, mode)
+                assert split_ok(P, A, comp, kind) == \
+                    testkit.split_check(P, A, mode), (P, A, kind)
+
+
+def test_split_ok_relaxations_match_classify_subset_flags():
+    cfg = make_cfg(14, max_events=4)
+    grng = cfg.rng()
+    for _ in range(80):
+        P = testkit.gen_poset(cfg, grng)
+        for A in subsets(P.n):
+            comp = frozenset(range(P.n)) - A
+            fl = classify_subset(P, A)
+            expected = {
+                ("seqthen", "iso"): fl["prefix"] and fl["nested"],
+                ("seqthen", "sub"): fl["prefix"],
+                ("seqthen", "rev"): fl["downset"] and fl["nested"],
+                ("parnext", "iso"): fl["isolated"] and fl["nested"],
+                ("parnext", "sub"): True,
+                ("parnext", "rev"): fl["isolated"] and fl["nested"],
+                ("ctx", "iso"): fl["nested"],
+                ("ctx", "sub"): True,
+                ("ctx", "rev"): fl["nested"],
+            }
+            for (kind, rel), want in expected.items():
+                assert split_ok(P, A, comp, kind, rel) == want, \
+                    (P, A, kind, rel)
+
+
+def test_subsets_are_lazy_smallest_first_and_complete():
+    assert list(subsets(0)) == [frozenset()]
+    assert [sorted(A) for A in subsets(3)] == [
+        [], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
+    gen = subsets(30)
+    assert next(gen) == frozenset() and next(gen) == frozenset({0})
+    assert len(set(subsets(5))) == 32
 
 
 # ---------------------------------------------------------------------------

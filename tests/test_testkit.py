@@ -52,7 +52,7 @@ def test_differential_run_catches_a_seeded_fault():
     # so boxes no longer shield their interior from the context modality
     def broken(P, f, rel):
         if f[0] == "ctx" and rel == "iso":
-            for A in logic._subsets(P.n):
+            for A in posets.subsets(P.n):
                 if broken(P.restrict(A), f[1], rel):
                     return True
             return False

@@ -5,6 +5,7 @@ built-in case studies, and the differential fuzzer."""
 import argparse
 import json
 import sys
+import traceback
 
 from . import posets, terms, logic, testkit
 from .posets import PosetError
@@ -406,15 +407,20 @@ def run(argv):
 
 
 def main(argv=None):
+    """Run the CLI.  Exit codes: 0 true, 1 false, 2 usage or input error
+    (including input nested too deeply), 3 unexpected internal error."""
     try:
         return run(sys.argv[1:] if argv is None else argv)
     except (PosetError, TermSyntaxError, FormulaSyntaxError, FragmentError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,11 +14,9 @@ formula demands: witnesses drop order/boxes), "rev" (witnesses add
 order/boxes).
 """
 
-import itertools
-
-from . import posets, terms
+from . import terms
 from .posets import (Poset, unit, atom, seq, par, iso, subsumed_by,
-                     weakenings, strengthenings, strengthenings_truncated,
+                     weakenings, strengthenings, new_box_candidates,
                      subsets, split_ok)
 from .terms import FragmentError
 
@@ -196,13 +194,6 @@ _MEMO = {}
 _SPLITS = ("seqthen", "parnext", "ctx")
 
 
-def clear_memo():
-    _MEMO.clear()
-    _ORACLE_MEMO.clear()
-    _ORACLE_STRUCT_MEMO.clear()
-    _SPACE_CACHE.clear()
-
-
 def sat_bool(P, f, rel):
     if rel not in RELATIONS:
         raise ValueError("bad relation %r" % (rel,))
@@ -354,7 +345,6 @@ def replay(P, f, rel, witness):
 
 
 _ORACLE_MEMO = {}
-_ORACLE_STRUCT_MEMO = {}
 
 
 def _tv_exists(results, extra_unknown=False):
@@ -367,14 +357,11 @@ def _tv_exists(results, extra_unknown=False):
     return UNKNOWN if saw_unknown else False
 
 
-_SPACE_CACHE = {}
-
-# enumeration bounds for one strengthening space; exceeding them marks the
+# enumeration bounds for one witness space; exceeding them marks the
 # space as truncated, which the callers report as "unknown" when a False
 # answer would otherwise be returned
 _SPACE_LIMIT = 400
 _SPACE_RAW_LIMIT = 4000
-_SPACE_CACHE_LIMIT = 1000
 
 
 def _witness_space(P, rel, cap, with_boxes):
@@ -386,25 +373,13 @@ def _witness_space(P, rel, cap, with_boxes):
     clipped space is flagged truncated."""
     if rel == "iso":
         return (P,), False
-    key = (P.key(), rel, cap, with_boxes)
-    hit = _SPACE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if rel == "sub":
-        if with_boxes:
-            space = weakenings(P)
-        else:
-            space = (Poset(P.labels, sub, (), _checked=True)
-                     for sub in _order_subsets(P))
+        space = weakenings(P if with_boxes
+                           else Poset(P.labels, P.order, (), _checked=True))
         truncated = False
     else:
-        if with_boxes:
-            space = strengthenings(P, cap)
-            truncated = strengthenings_truncated(P, cap)
-        else:
-            space = (Poset(P.labels, rel_, P.boxes, _checked=True)
-                     for rel_ in posets.order_extensions(P))
-            truncated = False
+        space = strengthenings(P, cap if with_boxes else 0)
+        truncated = with_boxes and len(new_box_candidates(P)) > cap
     seen = {}
     raw = 0
     for W in space:
@@ -414,20 +389,7 @@ def _witness_space(P, rel, cap, with_boxes):
         if len(seen) >= _SPACE_LIMIT or raw >= _SPACE_RAW_LIMIT:
             truncated = True
             break
-    if len(_SPACE_CACHE) >= _SPACE_CACHE_LIMIT:
-        for old in list(_SPACE_CACHE)[:_SPACE_CACHE_LIMIT // 2]:
-            del _SPACE_CACHE[old]
-    out = (tuple(seen.values()), truncated)
-    _SPACE_CACHE[key] = out
-    return out
-
-
-def _order_subsets(P):
-    order = sorted(P.order)
-    for k in range(len(order) + 1):
-        for sub in itertools.combinations(order, k):
-            if posets.is_transitively_closed(sub):
-                yield sub
+    return tuple(seen.values()), truncated
 
 
 class _BudgetExhausted(Exception):
@@ -466,19 +428,12 @@ def sat_oracle(P, f, rel="iso", cap=2):
 
 
 def _oracle(P, f, rel, cap):
-    # structural lookup first: restrictions recur as equal objects and the
-    # exact hash is much cheaper than the canonical key
     _tick()
-    skey = (P, f, rel, cap)
-    hit = _ORACLE_STRUCT_MEMO.get(skey)
-    if hit is not None:
-        return hit
     key = (P.key(), f, rel, cap)
     hit = _ORACLE_MEMO.get(key)
     if hit is None:
         hit = _oracle_raw(P, f, rel, cap)
         _ORACLE_MEMO[key] = hit
-    _ORACLE_STRUCT_MEMO[skey] = hit
     return hit
 
 

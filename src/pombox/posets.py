@@ -392,7 +392,8 @@ def find_homomorphism(src, tgt, mode=ANY):
 
 
 def iso(P, Q):
-    return find_homomorphism(P, Q, ISO) is not None
+    """P and Q are isomorphic: their canonical keys agree."""
+    return P.key() == Q.key()
 
 
 def subsumed_by(P, Q):
@@ -475,11 +476,6 @@ def strengthenings(P, max_new_boxes):
                             list(P.boxes) + list(extra), _checked=True)
 
 
-def strengthenings_truncated(P, max_new_boxes):
-    """True when the box cap actually cuts the witness space."""
-    return len(new_box_candidates(P)) > max_new_boxes
-
-
 # ---------------------------------------------------------------------------
 # canonical keys
 
@@ -548,6 +544,17 @@ def canonical_key(P):
 # serialization
 
 
+def _is_label(text):
+    """A label the term grammar can write: a letter or _, then letters,
+    digits or _."""
+    return (isinstance(text, str) and (text[:1].isalpha() or text[:1] == "_")
+            and all(c.isalnum() or c == "_" for c in text))
+
+
+def _is_id_list(xs):
+    return isinstance(xs, list) and all(type(x) is int for x in xs)
+
+
 def from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
@@ -558,15 +565,21 @@ def from_json(data):
     except (TypeError, KeyError):
         raise PosetError("poset JSON needs an 'events' list")
     try:
-        labels = {ev["id"]: str(ev["label"]) for ev in events}
+        labels = {ev["id"]: ev["label"] for ev in events}
     except (TypeError, KeyError):
         raise PosetError("every poset JSON event needs an 'id' and a 'label'")
     if len(labels) != len(events):
         raise PosetError("duplicate event ids")
     if set(labels) != set(range(len(labels))):
         raise PosetError("event ids must be exactly 0..n-1")
-    if not all(labels.values()):
-        raise PosetError("event labels must be non-empty")
+    if not all(_is_label(l) for l in labels.values()):
+        raise PosetError("event labels must be a letter or _, then letters, "
+                         "digits or _")
+    if not isinstance(order, list) or not all(
+            _is_id_list(p) and len(p) == 2 for p in order):
+        raise PosetError("poset JSON 'order' must be a list of [id, id] pairs")
+    if not isinstance(boxes, list) or not all(map(_is_id_list, boxes)):
+        raise PosetError("poset JSON 'boxes' must be a list of id lists")
     labels = [labels[e] for e in range(len(labels))]
     return from_edges(labels, [tuple(e) for e in order],
                       [set(b) for b in boxes])

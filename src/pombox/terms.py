@@ -9,8 +9,8 @@ Term AST nodes are plain tuples:
 
 import itertools
 
-from .posets import (unit, atom, seq, par, boxed, iso, subsumed_by,
-                     subsets, split_ok)
+from .posets import (unit, atom, seq, par, boxed, subsumed_by, subsets,
+                     split_ok)
 
 ZERO = ("zero",)
 ONE = ("one",)
@@ -403,9 +403,9 @@ def synthesize_term(P):
 
 def set_rel(A, B, rel):
     if rel == "iso_incl":
-        return all(any(iso(p, q) for q in B) for p in A)
+        return {p.key() for p in A} <= {q.key() for q in B}
     if rel == "iso_eq":
-        return set_rel(A, B, "iso_incl") and set_rel(B, A, "iso_incl")
+        return {p.key() for p in A} == {q.key() for q in B}
     if rel == "subsume":
         return all(any(subsumed_by(p, q) for q in B) for p in A)
     raise ValueError("bad set relation %r" % (rel,))

@@ -53,17 +53,44 @@ def test_usage_error_exits_two():
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("events", [
-    [{"id": 0}],                    # no label
-    [{"label": "a"}],               # no id
-    [{"id": 0, "label": ""}],       # empty label
-], ids=["no-label", "no-id", "empty-label"])
-def test_malformed_poset_json_exits_two(tmp_path, events):
+EVENT_A = [{"id": 0, "label": "a"}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"events": [{"id": 0}]},
+    {"events": [{"label": "a"}]},
+    {"events": [{"id": 0, "label": ""}]},
+    {"events": EVENT_A, "order": [0]},
+    {"events": EVENT_A, "boxes": [5]},
+    {"events": EVENT_A, "order": [[0]]},
+    {"events": [{"id": 0, "label": "a b"}]},
+], ids=["no-label", "no-id", "empty-label", "order-not-pair",
+        "box-not-list", "order-short-pair", "label-not-identifier"])
+def test_malformed_poset_json_exits_two(tmp_path, doc):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"events": events}), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     r = run_cli("mc", "--formula", "a", "--poset-json", str(path))
     assert r.returncode == 2 and "error" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "(" * 3000 + "a" + ")" * 3000],
+    ["mc", "--formula", "~" * 3000 + "a", "a"],
+    ["synth", ";".join(["a"] * 3000)],
+], ids=["nested-term", "nested-formula", "long-chain"])
+def test_too_deep_input_exits_two(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2 and "nested too deeply" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(*args):
+        raise ZeroDivisionError("broken")
+    monkeypatch.setattr(terms, "decide", broken)
+    assert cli.main(["eq", "--system", "bsp", "a", "a"]) == 3
+    assert "Traceback" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,8 @@
 three relations, witnesses, the enumeration oracle, translations from
 terms, independence, frame checking, and substitution."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from pombox.logic import (
     EMP, UNKNOWN, parse_formula, render_formula, FormulaSyntaxError,
     positive, contains_boxmod, sat, sat_bool, sat_set, sat_oracle, replay,
     phi_of_sp, phi_of_term, independent, frame_check, compose_frame,
-    frame_formula, substitute_term, substitute_formula, clear_memo,
+    frame_formula, substitute_term, substitute_formula,
 )
 
 
@@ -209,6 +211,28 @@ def test_oracle_differential_small():
     assert found == []
 
 
+def test_box_free_witness_spaces_are_orders_up_to_iso(monkeypatch):
+    # for a formula without a box modality the oracle varies only the
+    # order: every closed sub-order without boxes under sub, every order
+    # extension with P's boxes under rev
+    monkeypatch.setattr(logic, "_budget", [logic._ORACLE_BUDGET])
+    cfg = testkit.GenConfig(seed=41, max_events=4)
+    rng = cfg.rng()
+    for _ in range(40):
+        P = testkit.gen_poset(cfg, rng)
+        order = sorted(P.order)
+        subs = [sub for k in range(len(order) + 1)
+                for sub in itertools.combinations(order, k)
+                if posets.transitive_closure(P.n, sub) == frozenset(sub)]
+        want = {posets.Poset(P.labels, sub, ()).key() for sub in subs}
+        space, truncated = logic._witness_space(P, "sub", 2, False)
+        assert not truncated and {W.key() for W in space} == want
+        want = {posets.Poset(P.labels, ext, P.boxes).key()
+                for ext in posets.order_extensions(P)}
+        space, truncated = logic._witness_space(P, "rev", 2, False)
+        assert not truncated and {W.key() for W in space} == want
+
+
 # ---------------------------------------------------------------------------
 # term-to-formula translations
 
@@ -323,10 +347,3 @@ def test_substitution_modularity_scenario():
     for P in terms.interp(e2):
         assert sat_bool(P, f2, "iso")
 
-
-def test_clear_memo_keeps_answers_stable():
-    P = interp_sp(parse_term("[a;b];c"))
-    f = parse_formula("<>(a|>b)")
-    before = sat_bool(P, f, "iso")
-    clear_memo()
-    assert sat_bool(P, f, "iso") == before

@@ -27,149 +27,22 @@ RELATIONS = ("iso", "sub", "rev")
 UNKNOWN = "unknown"
 
 
-class FormulaSyntaxError(ValueError):
-    def __init__(self, msg, pos):
-        super().__init__("%s (at position %d)" % (msg, pos))
-        self.pos = pos
+class FormulaSyntaxError(terms.ParseError):
+    pass
 
 
-# ---------------------------------------------------------------------------
-# parsing and rendering
-
-
-def _tokenize_formula(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        two = text[i:i + 2]
-        if two in ("\\/", "/\\", "||", "|>", "<>"):
-            toks.append((two, i))
-            i += 2
-            continue
-        if c in "~[]()":
-            toks.append((c, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-            continue
-        raise FormulaSyntaxError("unexpected character %r" % c, i)
-    toks.append((None, n))
-    return toks
-
-
-def parse_formula(text):
-    toks = _tokenize_formula(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]][0]
-
-    def where():
-        return toks[pos[0]][1]
-
-    def advance():
-        pos[0] += 1
-
-    def parse_or():
-        f = parse_and()
-        while peek() == "\\/":
-            advance()
-            f = ("or", f, parse_and())
-        return f
-
-    def parse_and():
-        f = parse_par()
-        while peek() == "/\\":
-            advance()
-            f = ("and", f, parse_par())
-        return f
-
-    def parse_par():
-        f = parse_seq()
-        while peek() == "||":
-            advance()
-            f = ("parnext", f, parse_seq())
-        return f
-
-    def parse_seq():
-        f = parse_unary()
-        if peek() == "|>":
-            advance()
-            return ("seqthen", f, parse_seq())
-        return f
-
-    def parse_unary():
-        tok = peek()
-        if tok == "~":
-            advance()
-            return ("neg", parse_unary())
-        if tok == "<>":
-            advance()
-            return ("ctx", parse_unary())
-        if tok == "[":
-            advance()
-            f = parse_or()
-            if peek() != "]":
-                raise FormulaSyntaxError("expected ']'", where())
-            advance()
-            return ("boxmod", f)
-        if tok == "(":
-            advance()
-            f = parse_or()
-            if peek() != ")":
-                raise FormulaSyntaxError("expected ')'", where())
-            advance()
-            return f
-        if tok == "emp":
-            advance()
-            return EMP
-        if tok is not None and (tok[0].isalpha() or tok[0] == "_"):
-            advance()
-            return ("atom", tok)
-        raise FormulaSyntaxError("expected a formula", where())
-
-    f = parse_or()
-    if peek() is not None:
-        raise FormulaSyntaxError("trailing input", where())
-    return f
-
-
-_FPREC = {"or": 1, "and": 2, "parnext": 3, "seqthen": 4}
-_FOPS = {"or": "\\/", "and": "/\\", "parnext": "||", "seqthen": "|>"}
+_FORMULAS = terms.Grammar(
+    FormulaSyntaxError, "formula",
+    constants={"emp": EMP},
+    prefix={"~": "neg", "<>": "ctx"},
+    infix={"\\/": ("or", 1, False), "/\\": ("and", 2, False),
+           "||": ("parnext", 3, False), "|>": ("seqthen", 4, True)},
+    brackets={"(": (")", None), "[": ("]", "boxmod")})
+parse_formula = _FORMULAS.parse
 
 
 def render_formula(f):
-    def rec(f, outer):
-        kind = f[0]
-        if kind == "emp":
-            return "emp"
-        if kind == "atom":
-            return f[1]
-        if kind == "neg":
-            return "~" + rec(f[1], 5)
-        if kind == "boxmod":
-            return "[" + rec(f[1], 0) + "]"
-        if kind == "ctx":
-            return "<>" + rec(f[1], 5)
-        prec = _FPREC[kind]
-        if kind == "seqthen":
-            s = rec(f[1], prec + 1) + _FOPS[kind] + rec(f[2], prec)
-        else:
-            s = rec(f[1], prec) + _FOPS[kind] + rec(f[2], prec + 1)
-        if prec < outer:
-            s = "(" + s + ")"
-        return s
-    return rec(f, 0)
+    return _FORMULAS.render(f)
 
 
 def positive(f):
@@ -615,23 +488,11 @@ def frame_check(P, Q, f, psi, shape, rel="iso"):
 
 
 def substitute_term(e, sigma):
+    """Replace every atom whose label sigma maps, in a term or a formula."""
     kind = e[0]
     if kind == "atom":
         return sigma.get(e[1], e)
-    if kind in ("zero", "one"):
-        return e
-    if kind == "box":
-        return ("box", substitute_term(e[1], sigma))
-    return (kind, substitute_term(e[1], sigma), substitute_term(e[2], sigma))
+    return (kind,) + tuple(substitute_term(sub, sigma) for sub in e[1:])
 
 
-def substitute_formula(f, tau):
-    kind = f[0]
-    if kind == "atom":
-        return tau.get(f[1], f)
-    if kind == "emp":
-        return f
-    if kind in ("neg", "boxmod", "ctx"):
-        return (kind, substitute_formula(f[1], tau))
-    return (kind, substitute_formula(f[1], tau),
-            substitute_formula(f[2], tau))
+substitute_formula = substitute_term

@@ -436,40 +436,34 @@ def weakenings(P):
                     yield Poset(P.labels, sub, bsub, _checked=True)
 
 
+def _order_extensions(P):
+    """Every strict partial order extending P's order on the same events,
+    lazily, fewest added pairs first.  Only incomparable pairs can be
+    added: the reverse of an order pair would break antisymmetry."""
+    free = [(a, b) for a in range(P.n) for b in range(P.n)
+            if a != b and (a, b) not in P.order and (b, a) not in P.order]
+    for k in range(len(free) + 1):
+        for add in itertools.combinations(free, k):
+            rel = P.order.union(add)
+            if all((b, a) not in rel for (a, b) in add) and \
+                    is_transitively_closed(rel):
+                yield rel
+
+
 def order_extensions(P):
     """All strict partial orders extending P's order on the same events."""
-    missing = [(a, b) for a in range(P.n) for b in range(P.n)
-               if a != b and (a, b) not in P.order]
-    out = []
-    for k in range(len(missing) + 1):
-        for add in itertools.combinations(missing, k):
-            rel = set(P.order) | set(add)
-            ok = True
-            for (a, b) in add:
-                if (b, a) in rel:
-                    ok = False
-                    break
-            if ok and is_transitively_closed(rel):
-                out.append(frozenset(rel))
-    return out
+    return list(_order_extensions(P))
 
 
 def new_box_candidates(P):
-    evs = list(range(P.n))
-    cands = []
-    for k in range(1, P.n + 1):
-        for sub in itertools.combinations(evs, k):
-            box = frozenset(sub)
-            if box not in P.boxes:
-                cands.append(box)
-    return cands
+    return [A for A in subsets(P.n) if A and A not in P.boxes]
 
 
 def strengthenings(P, max_new_boxes):
     """Posets with more order and up to max_new_boxes extra boxes; every
     yielded Q is subsumed by P."""
     cands = new_box_candidates(P)
-    for rel in order_extensions(P):
+    for rel in _order_extensions(P):
         for k in range(0, max_new_boxes + 1):
             for extra in itertools.combinations(cands, k):
                 yield Poset(P.labels, rel,
@@ -515,15 +509,6 @@ def canonical_key(P):
         pos += len(groups[s])
     order = list(P.order)
     boxes = [tuple(box) for box in P.boxes]
-    if all(len(groups[s]) == 1 for s in sigs_sorted):
-        # signatures separate every event: the relabelling is forced
-        ren = {}
-        for s in sigs_sorted:
-            ren[groups[s][0]] = base[s]
-        order_enc = tuple(sorted((ren[a], ren[b]) for (a, b) in order))
-        boxes_enc = tuple(sorted(tuple(sorted(ren[e] for e in box))
-                                 for box in boxes))
-        return (P.n, tuple(sigs_sorted), (order_enc, boxes_enc))
     best = None
     for combo in itertools.product(
             *[itertools.permutations(groups[s]) for s in sigs_sorted]):

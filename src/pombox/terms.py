@@ -16,10 +16,16 @@ ZERO = ("zero",)
 ONE = ("one",)
 
 
-class TermSyntaxError(ValueError):
+class ParseError(ValueError):
+    """A syntax error at character position pos of the input."""
+
     def __init__(self, msg, pos):
         super().__init__("%s (at position %d)" % (msg, pos))
         self.pos = pos
+
+
+class TermSyntaxError(ParseError):
+    pass
 
 
 class FragmentError(ValueError):
@@ -27,126 +33,145 @@ class FragmentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing and rendering, shared by terms and formulas
 
 
-def _tokenize_term(text):
-    toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in ";|+[]()":
-            toks.append((c, i))
-            i += 1
-            continue
-        if c in "01":
-            toks.append((c, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-            continue
-        raise TermSyntaxError("unexpected character %r" % c, i)
-    toks.append((None, len(text)))
-    return toks
+def _is_name_start(c):
+    return c.isalpha() or c == "_"
 
 
-def parse_term(text):
-    toks = _tokenize_term(text)
-    pos = [0]
+class Grammar:
+    """An expression grammar as data.  Names are atoms; constants maps a
+    token to its node; prefix maps a token to the kind of a unary node
+    binding tighter than any infix operator; infix maps a token to (kind,
+    precedence, right-associative); brackets maps an opening token to
+    (closing token, kind of the node it makes, or None to group).  error
+    is raised on bad input and noun says what an operand should be."""
 
-    def peek():
-        return toks[pos[0]][0]
+    def __init__(self, error, noun, constants, prefix, infix, brackets):
+        self.error, self.noun = error, noun
+        self.constants, self.prefix = constants, prefix
+        self.infix, self.brackets = infix, brackets
+        symbols = [tok for tok in itertools.chain(
+            constants, prefix, infix, brackets,
+            (close for close, _ in brackets.values()))
+            if not _is_name_start(tok[0])]
+        self.symbols1 = {tok for tok in symbols if len(tok) == 1}
+        self.symbols2 = {tok for tok in symbols if len(tok) == 2}
+        # for rendering: the token of each node kind (None: grouping), and
+        # a prefix operand binds tighter than every infix operator
+        self.token_of = dict(itertools.chain(
+            ((node[0], tok) for tok, node in constants.items()),
+            ((kind, tok) for tok, kind in prefix.items()),
+            ((kind, tok) for tok, (kind, _, _) in infix.items()),
+            ((kind, tok) for tok, (_, kind) in brackets.items())))
+        self.top = 1 + max(prec for _, prec, _ in infix.values())
 
-    def where():
-        return toks[pos[0]][1]
+    def _tokenize(self, text):
+        """(token, position) pairs ending in (None, len(text))."""
+        toks = []
+        i = 0
+        n = len(text)
+        while i < n:
+            c = text[i]
+            if c.isspace():
+                i += 1
+            elif text[i:i + 2] in self.symbols2:
+                toks.append((text[i:i + 2], i))
+                i += 2
+            elif c in self.symbols1:
+                toks.append((c, i))
+                i += 1
+            elif _is_name_start(c):
+                j = i + 1
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                toks.append((text[i:j], i))
+                i = j
+            else:
+                raise self.error("unexpected character %r" % c, i)
+        toks.append((None, n))
+        return toks
 
-    def advance():
-        pos[0] += 1
+    def parse(self, text):
+        """Precedence climbing: one recursion per operand and per nesting
+        level, one loop per run of infix operators."""
+        toks = self._tokenize(text)
+        infix, prefix = self.infix, self.prefix
+        brackets, constants = self.brackets, self.constants
+        i = 0
 
-    def parse_join():
-        t = parse_par()
-        while peek() == "+":
-            advance()
-            t = ("join", t, parse_par())
-        return t
+        def operand():
+            nonlocal i
+            tok, where = toks[i]
+            if tok in prefix:
+                i += 1
+                return (prefix[tok], operand())
+            if tok in brackets:
+                close, kind = brackets[tok]
+                i += 1
+                t = expression(0)
+                if toks[i][0] != close:
+                    raise self.error("expected '%s'" % close, toks[i][1])
+                i += 1
+                return t if kind is None else (kind, t)
+            if tok in constants:
+                i += 1
+                return constants[tok]
+            if tok is not None and _is_name_start(tok[0]):
+                i += 1
+                return ("atom", tok)
+            raise self.error("expected a %s" % self.noun, where)
 
-    def parse_par():
-        t = parse_seq()
-        while peek() == "|":
-            advance()
-            t = ("par", t, parse_seq())
-        return t
-
-    def parse_seq():
-        t = parse_prim()
-        while peek() == ";":
-            advance()
-            t = ("seq", t, parse_prim())
-        return t
-
-    def parse_prim():
-        tok = peek()
-        if tok == "(":
-            advance()
-            t = parse_join()
-            if peek() != ")":
-                raise TermSyntaxError("expected ')'", where())
-            advance()
+        def expression(min_prec):
+            nonlocal i
+            t = operand()
+            while toks[i][0] in infix:
+                kind, prec, right = infix[toks[i][0]]
+                if prec < min_prec:
+                    break
+                i += 1
+                t = (kind, t, expression(prec if right else prec + 1))
             return t
-        if tok == "[":
-            advance()
-            t = parse_join()
-            if peek() != "]":
-                raise TermSyntaxError("expected ']'", where())
-            advance()
-            return ("box", t)
-        if tok == "0":
-            advance()
-            return ZERO
-        if tok == "1":
-            advance()
-            return ONE
-        if tok is not None and (tok[0].isalpha() or tok[0] == "_"):
-            advance()
-            return ("atom", tok)
-        raise TermSyntaxError("expected a term", where())
 
-    t = parse_join()
-    if peek() is not None:
-        raise TermSyntaxError("trailing input", where())
-    return t
+        t = expression(0)
+        if toks[i][0] is not None:
+            raise self.error("trailing input", toks[i][1])
+        return t
+
+    def render(self, t, outer=0):
+        """The text of an AST with the fewest parentheses that parse back
+        to it; outer is the precedence the context demands."""
+        if t[0] == "atom":
+            return t[1]
+        tok = self.token_of[t[0]]
+        if tok in self.constants:
+            return tok
+        if tok in self.prefix:
+            return tok + self.render(t[1], self.top)
+        if tok in self.brackets:
+            return tok + self.render(t[1]) + self.brackets[tok][0]
+        _, prec, right = self.infix[tok]
+        # the operand on the associative side may hold the same operator
+        lprec, rprec = (prec + 1, prec) if right else (prec, prec + 1)
+        s = self.render(t[1], lprec) + tok + self.render(t[2], rprec)
+        if prec < outer:
+            tok = self.token_of[None]
+            s = tok + s + self.brackets[tok][0]
+        return s
 
 
-_PREC = {"join": 1, "par": 2, "seq": 3}
+_TERMS = Grammar(TermSyntaxError, "term",
+                 constants={"0": ZERO, "1": ONE},
+                 prefix={},
+                 infix={"+": ("join", 1, False), "|": ("par", 2, False),
+                        ";": ("seq", 3, False)},
+                 brackets={"(": (")", None), "[": ("]", "box")})
+parse_term = _TERMS.parse
 
 
 def render_term(t):
-    def rec(t, outer):
-        kind = t[0]
-        if kind == "zero":
-            return "0"
-        if kind == "one":
-            return "1"
-        if kind == "atom":
-            return t[1]
-        if kind == "box":
-            return "[" + rec(t[1], 0) + "]"
-        op = {"join": "+", "par": "|", "seq": ";"}[kind]
-        prec = _PREC[kind]
-        # left-associative: left child renders at prec, right at prec+1
-        s = rec(t[1], prec) + op + rec(t[2], prec + 1)
-        if prec < outer:
-            s = "(" + s + ")"
-        return s
-    return rec(t, 0)
+    return _TERMS.render(t)
 
 
 def is_sp(t):

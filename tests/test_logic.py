@@ -3,6 +3,7 @@ three relations, witnesses, the enumeration oracle, translations from
 terms, independence, frame checking, and substitution."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +232,43 @@ def test_box_free_witness_spaces_are_orders_up_to_iso(monkeypatch):
                 for ext in posets.order_extensions(P)}
         space, truncated = logic._witness_space(P, "rev", 2, False)
         assert not truncated and {W.key() for W in space} == want
+
+
+def _order_extensions_reference(P):
+    # every subset of all missing pairs, reverses of order pairs included
+    missing = [(a, b) for a in range(P.n) for b in range(P.n)
+               if a != b and (a, b) not in P.order]
+    out = []
+    for k in range(len(missing) + 1):
+        for add in itertools.combinations(missing, k):
+            rel = set(P.order) | set(add)
+            if all((b, a) not in rel for (a, b) in add) and \
+                    posets.is_transitively_closed(rel):
+                out.append(frozenset(rel))
+    return out
+
+
+def test_order_extensions_match_the_all_missing_pairs_reference():
+    cfg = testkit.GenConfig(seed=43, max_events=4)
+    rng = cfg.rng()
+    for _ in range(200):
+        P = testkit.gen_poset(cfg, rng)
+        assert posets.order_extensions(P) == _order_extensions_reference(P)
+
+
+def test_oracle_on_a_chain_under_rev_is_fast():
+    # a chain has exactly one order extension
+    chain = interp_sp(parse_term(";".join(["a"] * 7)))
+    start = time.perf_counter()
+    assert sat_oracle(chain, parse_formula("a|>b"), "rev") is False
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oracle_on_an_antichain_under_rev_returns():
+    antichain = interp_sp(parse_term("|".join(["a"] * 6)))
+    start = time.perf_counter()
+    assert sat_oracle(antichain, parse_formula("a||b"), "rev") is not True
+    assert time.perf_counter() - start < 10.0
 
 
 # ---------------------------------------------------------------------------

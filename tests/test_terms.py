@@ -4,7 +4,7 @@ series-parallel recognition/synthesis, and the decision procedures."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pombox import posets, terms, testkit
+from pombox import logic, posets, terms, testkit
 from pombox.posets import (iso, subsumed_by, atom, unit, seq, par, boxed,
                            find_homomorphism, ISO)
 from pombox.terms import (
@@ -44,6 +44,81 @@ def test_parse_errors_carry_position():
         parse_term("a;;b")
     except TermSyntaxError as exc:
         assert exc.pos is not None
+
+
+_TERM_CASES = [
+    ("", "expected a term", 0),
+    ("a;", "expected a term", 2),
+    ("(a", "expected ')'", 2),
+    ("a)", "trailing input", 1),
+    ("[]", "expected a term", 1),
+    ("a b", "trailing input", 2),
+    ("+a", "expected a term", 0),
+    ("a$", "unexpected character '$'", 1),
+    ("|>a", "unexpected character '>'", 1),
+    ("[a", "expected ']'", 2),
+    ("a/\\", "unexpected character '/'", 1),
+    ("(a]", "expected ')'", 2),
+    ("a;;b", "expected a term", 2),
+]
+_FORMULA_CASES = [
+    ("", "expected a formula", 0),
+    ("a;", "unexpected character ';'", 1),
+    ("(a", "expected ')'", 2),
+    ("a)", "trailing input", 1),
+    ("[]", "expected a formula", 1),
+    ("a b", "trailing input", 2),
+    ("+a", "unexpected character '+'", 0),
+    ("a$", "unexpected character '$'", 1),
+    ("|>a", "expected a formula", 0),
+    ("[a", "expected ']'", 2),
+    ("a/\\", "expected a formula", 3),
+    ("[a)", "expected ']'", 2),
+    ("~", "expected a formula", 1),
+    ("a|", "unexpected character '|'", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, error, text, message, pos",
+    [(parse_term, TermSyntaxError) + case for case in _TERM_CASES]
+    + [(logic.parse_formula, logic.FormulaSyntaxError) + case
+       for case in _FORMULA_CASES],
+    ids=["term %r" % (case[0],) for case in _TERM_CASES]
+    + ["formula %r" % (case[0],) for case in _FORMULA_CASES])
+def test_syntax_errors_pin_message_and_position(parse, error, text, message,
+                                                pos):
+    # the CLI prints these messages, so they are part of its output
+    with pytest.raises(error) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == "%s (at position %d)" % (message, pos)
+    assert info.value.pos == pos
+
+
+_TERM_ALPHABET = [";", "|", "+", "[", "]", "(", ")", "0", "1", "a", "b",
+                  "x1", " ", "~", ">", "$"]
+_FORMULA_ALPHABET = ["\\/", "/\\", "||", "|>", "<>", "~", "[", "]", "(", ")",
+                     "emp", "a", "b", " ", "|", "/", "<", "0", "$"]
+
+
+@pytest.mark.parametrize("parse, render, error, alphabet", [
+    (parse_term, render_term, TermSyntaxError, _TERM_ALPHABET),
+    (logic.parse_formula, logic.render_formula, logic.FormulaSyntaxError,
+     _FORMULA_ALPHABET),
+], ids=["term", "formula"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_random_token_strings_parse_and_round_trip_or_fail_cleanly(
+        parse, render, error, alphabet, data):
+    text = "".join(data.draw(st.lists(st.sampled_from(alphabet),
+                                      max_size=14)))
+    try:
+        t = parse(text)
+    except error as exc:
+        assert 0 <= exc.pos <= len(text)
+        return
+    assert parse(render(t)) == t
 
 
 @given(st.integers(0, 10 ** 6))

@@ -14,10 +14,12 @@ formula demands: witnesses drop order/boxes), "rev" (witnesses add
 order/boxes).
 """
 
+import functools
+
 from . import terms
 from .posets import (Poset, unit, atom, seq, par, iso, subsumed_by,
                      weakenings, strengthenings, new_box_candidates,
-                     subsets, split_ok)
+                     subsets, cuts, split_ok)
 from .terms import FragmentError
 
 EMP = ("emp",)
@@ -95,6 +97,39 @@ def _box_interior(P, rel):
     return P.without_full_box()
 
 
+# a formula whose label multisets outnumber this is treated as unbounded
+_SHAPE_LIMIT = 64
+
+
+@functools.lru_cache(maxsize=4096)
+def shape(f):
+    """The sorted label tuples of every poset f can hold on, under any
+    relation, as a frozenset; None when f does not bound them.  Atoms and
+    emp fix their events, |> and || split the events between their
+    operands, and a box modality keeps every event."""
+    kind = f[0]
+    if kind == "emp":
+        return frozenset({()})
+    if kind == "atom":
+        return frozenset({(f[1],)})
+    if kind == "boxmod":
+        return shape(f[1])
+    if kind not in ("and", "or", "seqthen", "parnext"):
+        return None
+    left, right = shape(f[1]), shape(f[2])
+    if kind == "and":
+        if left is None or right is None:
+            return right if left is None else left
+        return left & right
+    if left is None or right is None:
+        return None
+    if kind == "or":
+        out = left | right
+    else:
+        out = frozenset(tuple(sorted(l + r)) for l in left for r in right)
+    return out if len(out) <= _SHAPE_LIMIT else None
+
+
 def _choose(P, f, rel):
     """How the top clause of f holds on P: the split A for |>, || and <>,
     "left" or "right" for \\/, True for the other clauses, and None when
@@ -103,7 +138,8 @@ def _choose(P, f, rel):
     kind = f[0]
     if kind in _SPLITS:
         all_ev = frozenset(range(P.n))
-        for A in subsets(P.n):
+        right = None if kind == "ctx" else shape(f[2])
+        for A in cuts(P, shape(f[1]), right):
             comp = all_ev - A
             if not split_ok(P, A, comp, kind, rel):
                 continue

@@ -6,6 +6,7 @@ events marking protected regions).  All values are immutable after
 construction.
 """
 
+import collections
 import itertools
 import json
 
@@ -217,6 +218,45 @@ def subsets(n):
     for k in range(n + 1):
         for sub in itertools.combinations(evs, k):
             yield frozenset(sub)
+
+
+def cuts(P, left=None, right=None):
+    """The subsets A of P's events whose sorted labels lie in left and
+    whose complement's sorted labels lie in right (None accepts any), in
+    the order of subsets(P.n).  The bounded side is built label by label
+    from per-label combinations, so cuts of other labels are never
+    visited."""
+    if left is None and right is None:
+        yield from subsets(P.n)
+        return
+    total = collections.Counter(P.labels)
+    by_label = {}
+    for e, label in enumerate(P.labels):
+        by_label.setdefault(label, []).append(e)
+    # the label counts of the side that is built, per size of A
+    built = {}
+    for labels in (left if left is not None else right):
+        counts = collections.Counter(labels)
+        if counts - total:
+            continue
+        if left is not None and right is not None and \
+                tuple(sorted((total - counts).elements())) not in right:
+            continue
+        size = len(labels) if left is not None else P.n - len(labels)
+        built.setdefault(size, []).append(counts)
+    all_ev = frozenset(range(P.n))
+    for size in sorted(built):
+        found = []
+        for counts in built[size]:
+            for parts in itertools.product(
+                    *[itertools.combinations(by_label[label], k)
+                      for label, k in counts.items()]):
+                side = frozenset(itertools.chain.from_iterable(parts))
+                found.append(tuple(sorted(
+                    side if left is not None else all_ev - side)))
+        found.sort()
+        for A in found:
+            yield frozenset(A)
 
 
 def _nested(P, A):
@@ -492,10 +532,49 @@ def _event_signatures(P):
             for e in range(P.n)]
 
 
+def _twin_classes(P):
+    """Events grouped into twins: the same label, predecessors,
+    successors and boxes.  Swapping two twins is an automorphism of P."""
+    preds = [set() for _ in range(P.n)]
+    succs = [set() for _ in range(P.n)]
+    for (a, b) in P.order:
+        succs[a].add(b)
+        preds[b].add(a)
+    boxes = [set() for _ in range(P.n)]
+    for box in P.boxes:
+        for e in box:
+            boxes[e].add(box)
+    classes = {}
+    for e in range(P.n):
+        classes.setdefault((P.labels[e], frozenset(preds[e]),
+                            frozenset(succs[e]), frozenset(boxes[e])),
+                           []).append(e)
+    return {e: cls for cls in classes.values() for e in cls}
+
+
+def _twin_orders(events, twins):
+    """The orders of events that keep each class of twins in increasing
+    event order: one per distinct sequence of classes, since orders that
+    differ only among twins give the same encoding."""
+    return _interleavings([twins[e] for e in events if twins[e][0] == e])
+
+
+def _interleavings(classes):
+    # every merge of the lists in classes that keeps each list in order
+    if not any(classes):
+        yield ()
+        return
+    for i, cls in enumerate(classes):
+        if cls:
+            rest = classes[:i] + [cls[1:]] + classes[i + 1:]
+            for tail in _interleavings(rest):
+                yield (cls[0],) + tail
+
+
 def canonical_key(P):
-    """Total encoding invariant under isomorphism: brute-force minimum
-    over relabellings, with permutations restricted to classes of equal
-    iso-invariant event signature."""
+    """Total encoding invariant under isomorphism: minimum over
+    relabellings, with permutations restricted to classes of equal
+    iso-invariant event signature and taken once per order of twins."""
     sigs = _event_signatures(P)
     groups = {}
     for e in range(P.n):
@@ -509,9 +588,13 @@ def canonical_key(P):
         pos += len(groups[s])
     order = list(P.order)
     boxes = [tuple(box) for box in P.boxes]
+    if len(groups) == P.n:
+        orders = [[groups[s]] for s in sigs_sorted]
+    else:
+        twins = _twin_classes(P)
+        orders = [_twin_orders(groups[s], twins) for s in sigs_sorted]
     best = None
-    for combo in itertools.product(
-            *[itertools.permutations(groups[s]) for s in sigs_sorted]):
+    for combo in itertools.product(*orders):
         ren = {}
         for s, perm in zip(sigs_sorted, combo):
             for off, old in enumerate(perm):

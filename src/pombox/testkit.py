@@ -273,3 +273,48 @@ def split_check(P, A, mode):
     if by_flags != by_iso:
         raise AssertionError("split_check flag/iso disagreement")
     return by_flags
+
+
+def canonical_key_reference(P):
+    """Brute-force minimum over every relabelling within the classes of
+    equal event signature, the reference for posets.canonical_key."""
+    sigs = posets._event_signatures(P)
+    groups = {}
+    for e in range(P.n):
+        groups.setdefault(sigs[e], []).append(e)
+    sigs_sorted = sorted(groups)
+    base = {}
+    pos = 0
+    for s in sigs_sorted:
+        base[s] = pos
+        pos += len(groups[s])
+    best = None
+    for combo in itertools.product(
+            *[itertools.permutations(groups[s]) for s in sigs_sorted]):
+        ren = {}
+        for s, perm in zip(sigs_sorted, combo):
+            for off, old in enumerate(perm):
+                ren[old] = base[s] + off
+        order_enc = tuple(sorted((ren[a], ren[b]) for (a, b) in P.order))
+        boxes_enc = tuple(sorted(tuple(sorted(ren[e] for e in box))
+                                 for box in P.boxes))
+        enc = (order_enc, boxes_enc)
+        if best is None or enc < best:
+            best = enc
+    return (P.n, tuple(sigs_sorted), best)
+
+
+def choose_reference(P, f, rel):
+    """logic._choose with its split clauses searched over every subset,
+    the reference for the label-filtered posets.cuts."""
+    kind = f[0]
+    if kind not in logic._SPLITS:
+        return logic._choose(P, f, rel)
+    all_ev = frozenset(range(P.n))
+    for A in posets.subsets(P.n):
+        comp = all_ev - A
+        if posets.split_ok(P, A, comp, kind, rel) and \
+                logic._sat(P.restrict(A), f[1], rel) and (
+                    kind == "ctx" or logic._sat(P.restrict(comp), f[2], rel)):
+            return A
+    return None

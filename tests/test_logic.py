@@ -165,6 +165,59 @@ def test_ctx_respects_boxes_under_iso():
     assert sat_bool(P, parse_formula("<>(a|>b)"), "sub")
 
 
+def test_shape_examples():
+    assert logic.shape(parse_formula("emp")) == {()}
+    assert logic.shape(parse_formula("[a|>b]")) == {("a", "b")}
+    assert logic.shape(parse_formula("(a\\/b)||a")) == {("a", "a"),
+                                                        ("a", "b")}
+    assert logic.shape(parse_formula("(a\\/b)/\\(b\\/c)")) == {("b",)}
+    assert logic.shape(parse_formula("~a/\\(b|>c)")) == {("b", "c")}
+    for text in ("~a", "<>a", "a\\/~b", "a|><>b"):
+        assert logic.shape(parse_formula(text)) is None
+    # past the cap a formula counts as unbounded
+    wide = "(" + "\\/".join("a%d" % i for i in range(9)) + ")"
+    assert len(logic.shape(parse_formula(wide + "||" + wide))) == 45
+    assert logic.shape(parse_formula(wide + "|>" + wide)) == \
+        logic.shape(parse_formula(wide + "||" + wide))
+    assert logic.shape(parse_formula(
+        wide + "||" + wide + "||" + wide)) is None
+
+
+def test_shape_bounds_the_labels_of_every_model():
+    cfg = testkit.GenConfig(seed=47, max_events=4, alphabet_size=2,
+                            formula_depth=3)
+    rng = cfg.rng()
+    held = 0
+    for _ in range(2000):
+        P = testkit.gen_poset(cfg, rng)
+        for rel in logic.RELATIONS:
+            f = testkit.gen_formula(cfg, positive=(rel != "iso"), rng=rng)
+            bound = logic.shape(f)
+            if bound is not None and sat_bool(P, f, rel):
+                held += 1
+                assert tuple(sorted(P.labels)) in bound, (P, f, rel)
+    assert held > 150
+
+
+def test_choose_matches_the_all_subsets_reference():
+    # criterion 5's generator; every subformula is chosen on every
+    # restriction the split clauses can reach
+    cfg = testkit.GenConfig(max_events=4, formula_depth=3, seed=501)
+    rng = cfg.rng()
+    for _ in range(150):
+        P = testkit.gen_poset(cfg, rng)
+        for rel in logic.RELATIONS:
+            f = testkit.gen_formula(cfg, positive=(rel != "iso"), rng=rng)
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                stack.extend(sub for sub in g[1:] if isinstance(sub, tuple))
+                for A in posets.subsets(P.n):
+                    Q = P.restrict(A)
+                    assert logic._choose(Q, g, rel) == \
+                        testkit.choose_reference(Q, g, rel), (Q, g, rel)
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -262,6 +315,15 @@ def test_oracle_on_a_chain_under_rev_is_fast():
     start = time.perf_counter()
     assert sat_oracle(chain, parse_formula("a|>b"), "rev") is False
     assert time.perf_counter() - start < 1.0
+
+
+def test_oracle_on_a_chain_under_sub_is_fast():
+    # the weakenings of a chain are mostly isolated events, twins whose
+    # relabellings canonical_key tries once
+    chain = interp_sp(parse_term(";".join(["a"] * 10)))
+    start = time.perf_counter()
+    assert sat_oracle(chain, parse_formula("a|>b"), "sub") is not True
+    assert time.perf_counter() - start < 5.0
 
 
 def test_oracle_on_an_antichain_under_rev_returns():

@@ -12,7 +12,7 @@ from pombox import posets, terms, testkit
 from pombox.posets import (
     Poset, PosetError, unit, atom, seq, par, boxed, from_edges, iso,
     subsumed_by, find_homomorphism, ANY, ISO,
-    ORDER_REFLECTING, BOX_REFLECTING, classify_subset, split_ok, subsets,
+    ORDER_REFLECTING, BOX_REFLECTING, classify_subset, split_ok, subsets, cuts,
     factorize_subsumption, weakenings, strengthenings, canonical_key,
     transitive_closure, transitive_reduction, from_json, to_json, to_dot,
 )
@@ -170,6 +170,24 @@ def test_canonical_key_separates_non_isomorphic():
             find_homomorphism(P, Q, ISO) is not None)
 
 
+def test_canonical_key_matches_the_brute_force_reference():
+    rng = random.Random(21)
+    cases = []
+    for seed, alphabet_size in ((21, 1), (22, 2), (23, 3)):
+        cfg = make_cfg(seed, max_events=7, alphabet_size=alphabet_size)
+        grng = cfg.rng()
+        cases += [testkit.gen_poset(cfg, grng) for _ in range(150)]
+    # twins (same label, neighbours and boxes) beside events that share
+    # their signature but not their neighbours
+    cases += [terms.interp_sp(terms.parse_term(text)) for text in (
+        "a|a|a|a|a|a|a", "(a|a|a);(b|b|b)", "[a|a]|[a|a]|b|b|b",
+        "(a;b)|((a|a);b)", "(a;b)|((a|a|a);b)|((a|a);b)", "[a]|[a]|a|a")]
+    for P in cases:
+        want = testkit.canonical_key_reference(P)
+        assert canonical_key(P) == want, P
+        assert canonical_key(relabeled_copy(P, rng)) == want, P
+
+
 # ---------------------------------------------------------------------------
 # subset classification and splits
 
@@ -233,6 +251,35 @@ def test_subsets_are_lazy_smallest_first_and_complete():
     gen = subsets(30)
     assert next(gen) == frozenset() and next(gen) == frozenset({0})
     assert len(set(subsets(5))) == 32
+
+
+def test_cuts_are_the_label_filtered_subsets_in_order():
+    cfg = make_cfg(15, max_events=6, alphabet_size=3)
+    grng = cfg.rng()
+    rng = random.Random(15)
+
+    def random_side(P):
+        if rng.random() < 0.25:
+            return None
+        side = {tuple(sorted(rng.choice("abcd")
+                             for _ in range(rng.randint(0, P.n))))
+                for _ in range(rng.randint(0, 4))}
+        for _ in range(rng.randint(0, 3)):
+            side.add(tuple(sorted(rng.sample(P.labels,
+                                             rng.randint(0, P.n)))))
+        return frozenset(side)
+
+    def labels(P, A):
+        return tuple(sorted(P.labels[e] for e in A))
+
+    for _ in range(400):
+        P = testkit.gen_poset(cfg, grng)
+        L, R = random_side(P), random_side(P)
+        all_ev = frozenset(range(P.n))
+        want = [A for A in subsets(P.n)
+                if (L is None or labels(P, A) in L)
+                and (R is None or labels(P, all_ev - A) in R)]
+        assert list(cuts(P, L, R)) == want, (P, L, R)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import functools
 from . import terms
 from .posets import (Poset, unit, atom, seq, par, iso, subsumed_by,
                      weakenings, strengthenings, new_box_candidates,
-                     subsets, cuts, split_ok)
+                     subsets, cuts, split_ok, _is_id_list)
 from .terms import FragmentError
 
 EMP = ("emp",)
@@ -215,37 +215,41 @@ def _witness(P, f, rel):
 
 
 def replay(P, f, rel, witness):
-    """Re-derive truth from a recorded witness trace."""
+    """Re-derive truth from a recorded witness trace; False when the
+    trace does not derive f on P, malformed traces included."""
     kind = f[0]
-    rule = witness.get("rule")
-    if rule != kind:
+    if not isinstance(witness, dict) or witness.get("rule") != kind:
         return False
     if kind in ("emp", "atom"):
         return _choose(P, f, rel) is not None
     if kind == "and":
-        return (replay(P, f[1], rel, witness["left"])
-                and replay(P, f[2], rel, witness["right"]))
+        return (replay(P, f[1], rel, witness.get("left"))
+                and replay(P, f[2], rel, witness.get("right")))
     if kind == "or":
-        side = witness["side"]
+        side = witness.get("side")
+        if side not in ("left", "right"):
+            return False
         sub = f[1] if side == "left" else f[2]
-        return replay(P, sub, rel, witness["sub"])
+        return replay(P, sub, rel, witness.get("sub"))
     if kind == "neg":
         # negative subgoals carry no constructive trace
         return not _sat(P, f[1], rel)
     if kind in _SPLITS:
+        if not _is_id_list(witness.get("A")):
+            return False
         A = frozenset(witness["A"])
         all_ev = frozenset(range(P.n))
         comp = all_ev - A
         if not A <= all_ev or not split_ok(P, A, comp, kind, rel):
             return False
         if kind == "ctx":
-            return replay(P.restrict(A), f[1], rel, witness["sub"])
-        return (replay(P.restrict(A), f[1], rel, witness["left"])
-                and replay(P.restrict(comp), f[2], rel, witness["right"]))
+            return replay(P.restrict(A), f[1], rel, witness.get("sub"))
+        return (replay(P.restrict(A), f[1], rel, witness.get("left"))
+                and replay(P.restrict(comp), f[2], rel, witness.get("right")))
     if kind == "boxmod":
         inner = _box_interior(P, rel)
         return inner is not None and replay(inner, f[1], rel,
-                                            witness["sub"])
+                                            witness.get("sub"))
     return False
 
 
@@ -454,10 +458,12 @@ def phi_of_sp(s):
     if kind == "par":
         return ("parnext", phi_of_sp(s[1]), phi_of_sp(s[2]))
     if kind == "box":
-        # the subformula describes the box interior, so the full box
-        # must be peeled off the subterm first
-        inner = terms.strip_outer_box(s)
-        return ("boxmod", phi_of_sp(inner))
+        # a box modality describes the box interior, so a subterm that
+        # already carries its full box is the box's formula itself
+        inner = phi_of_sp(s[1])
+        if terms.interp_sp(s[1]).has_full_box():
+            return inner
+        return ("boxmod", inner)
     raise FragmentError("phi_of_sp needs a series-parallel term")
 
 

@@ -152,8 +152,8 @@ def unit():
 
 
 def atom(label):
-    if not label:
-        raise PosetError("empty label")
+    if not _is_label(label):
+        raise PosetError("bad label %r: %s" % (label, _LABEL_RULE))
     return Poset((label,), (), (), _checked=True)
 
 
@@ -295,95 +295,28 @@ def split_ok(P, A, comp, kind, rel="iso"):
     raise ValueError("bad split kind %r" % (kind,))
 
 
-def classify_subset(P, A):
-    A = frozenset(A)
-    all_ev = frozenset(range(P.n))
-    if not A <= all_ev:
-        raise PosetError("subset out of range")
-    comp = all_ev - A
-    return {"nontrivial": bool(A) and bool(comp), "nested": _nested(P, A),
-            "prefix": _prefix(P, A, comp),
-            "isolated": _isolated(P, A, comp),
-            "downset": _downset(P, A, comp)}
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 
 
-class Morphism:
-    def __init__(self, mapping, order_reflecting, box_reflecting):
-        self.map = tuple(mapping)
-        self.order_reflecting = order_reflecting
-        self.box_reflecting = box_reflecting
-
-    def as_dict(self):
-        return {"map": list(self.map),
-                "order_reflecting": self.order_reflecting,
-                "box_reflecting": self.box_reflecting}
-
-    def __repr__(self):
-        return "Morphism(%r, ord_refl=%r, box_refl=%r)" % (
-            list(self.map), self.order_reflecting, self.box_reflecting)
-
-
-ANY = "any"
-ORDER_REFLECTING = "order_reflecting"
-BOX_REFLECTING = "box_reflecting"
-ISO = "iso"
-
-
-def _check_complete(src, tgt, h, mode):
-    mapped_boxes = set(frozenset(h[e] for e in box) for box in src.boxes)
-    if not mapped_boxes <= tgt.boxes:
-        return None
-    mapped_order = set((h[a], h[b]) for (a, b) in src.order)
-    order_refl = mapped_order == set(tgt.order)
-    box_refl = mapped_boxes == set(tgt.boxes)
-    if mode in (ORDER_REFLECTING, ISO) and not order_refl:
-        return None
-    if mode in (BOX_REFLECTING, ISO) and not box_refl:
-        return None
-    return Morphism(h, order_refl, box_refl)
-
-
-def find_homomorphism(src, tgt, mode=ANY):
-    """Search for a label-respecting bijection src -> tgt mapping order
-    into order and boxes into boxes, refined per mode."""
-    if mode not in (ANY, ORDER_REFLECTING, BOX_REFLECTING, ISO):
-        raise ValueError("bad mode %r" % (mode,))
+def find_homomorphism(src, tgt):
+    """Search for a subsumption map: a label-respecting bijection src ->
+    tgt mapping order into order and boxes into boxes.  Returns the map
+    as a tuple (src event -> tgt event), or None."""
     if src.n != tgt.n:
         return None
     if sorted(src.labels) != sorted(tgt.labels):
-        return None
-    if mode in (ORDER_REFLECTING, ISO) and len(src.order) != len(tgt.order):
-        return None
-    if mode in (BOX_REFLECTING, ISO) and len(src.boxes) != len(tgt.boxes):
         return None
 
     s_below, s_above = src.below_counts()
     t_below, t_above = tgt.below_counts()
     s_boxc = src.box_counts()
     t_boxc = tgt.box_counts()
-    need_ord_eq = mode in (ORDER_REFLECTING, ISO)
-    need_box_eq = mode in (BOX_REFLECTING, ISO)
 
     def compatible(e, t):
-        if src.labels[e] != tgt.labels[t]:
-            return False
-        if need_ord_eq:
-            if s_below[e] != t_below[t] or s_above[e] != t_above[t]:
-                return False
-        else:
-            if s_below[e] > t_below[t] or s_above[e] > t_above[t]:
-                return False
-        if need_box_eq:
-            if s_boxc[e] != t_boxc[t]:
-                return False
-        else:
-            if s_boxc[e] > t_boxc[t]:
-                return False
-        return True
+        return (src.labels[e] == tgt.labels[t]
+                and s_below[e] <= t_below[t] and s_above[e] <= t_above[t]
+                and s_boxc[e] <= t_boxc[t])
 
     cands = [[t for t in range(tgt.n) if compatible(e, t)]
              for e in range(src.n)]
@@ -396,36 +329,26 @@ def find_homomorphism(src, tgt, mode=ANY):
 
     def extend(i):
         if i == src.n:
-            return _check_complete(src, tgt, h, mode)
+            if all(frozenset(h[e] for e in box) in tgt.boxes
+                   for box in src.boxes):
+                return tuple(h)
+            return None
         e = events[i]
         for t in cands[e]:
             if used[t]:
                 continue
-            ok = True
-            for j in range(i):
-                f = events[j]
-                if ((e, f) in src.order) and (t, h[f]) not in tgt.order:
-                    ok = False
+            for f in events[:i]:
+                if ((e, f) in src.order and (t, h[f]) not in tgt.order) or \
+                        ((f, e) in src.order and (h[f], t) not in tgt.order):
                     break
-                if ((f, e) in src.order) and (h[f], t) not in tgt.order:
-                    ok = False
-                    break
-                if need_ord_eq:
-                    if ((t, h[f]) in tgt.order) != ((e, f) in src.order):
-                        ok = False
-                        break
-                    if ((h[f], t) in tgt.order) != ((f, e) in src.order):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            h[e] = t
-            used[t] = True
-            m = extend(i + 1)
-            if m is not None:
-                return m
-            h[e] = None
-            used[t] = False
+            else:
+                h[e] = t
+                used[t] = True
+                m = extend(i + 1)
+                if m is not None:
+                    return m
+                h[e] = None
+                used[t] = False
         return None
 
     return extend(0)
@@ -438,16 +361,15 @@ def iso(P, Q):
 
 def subsumed_by(P, Q):
     """P is subsumed by Q (P has more order and boxes than Q needs)."""
-    return find_homomorphism(Q, P, ANY) is not None
+    return find_homomorphism(Q, P) is not None
 
 
 def factorize_subsumption(P, Q):
     """If P is subsumed by Q, split the witness into a box-only step and
     an order-only step.  Returns (R1, R2) or None."""
-    phi = find_homomorphism(Q, P, ANY)
-    if phi is None:
+    h = find_homomorphism(Q, P)  # Q-event -> P-event
+    if h is None:
         return None
-    h = phi.map  # Q-event -> P-event
     inv = {h[e]: e for e in range(Q.n)}
     # R1: Q's events and order, P's boxes pulled back
     r1_boxes = [frozenset(inv[x] for x in box) for box in P.boxes]
@@ -488,11 +410,6 @@ def _order_extensions(P):
             if all((b, a) not in rel for (a, b) in add) and \
                     is_transitively_closed(rel):
                 yield rel
-
-
-def order_extensions(P):
-    """All strict partial orders extending P's order on the same events."""
-    return list(_order_extensions(P))
 
 
 def new_box_candidates(P):
@@ -612,11 +529,14 @@ def canonical_key(P):
 # serialization
 
 
+_LABEL_RULE = "labels are a letter or _, then letters, digits or _, not emp"
+
+
 def _is_label(text):
-    """A label the term grammar can write: a letter or _, then letters,
-    digits or _."""
+    """A label both grammars can write: a name that is not emp, which
+    formulas read as the empty pomset."""
     return (isinstance(text, str) and (text[:1].isalpha() or text[:1] == "_")
-            and all(c.isalnum() or c == "_" for c in text))
+            and all(c.isalnum() or c == "_" for c in text) and text != "emp")
 
 
 def _is_id_list(xs):
@@ -641,8 +561,7 @@ def from_json(data):
     if set(labels) != set(range(len(labels))):
         raise PosetError("event ids must be exactly 0..n-1")
     if not all(_is_label(l) for l in labels.values()):
-        raise PosetError("event labels must be a letter or _, then letters, "
-                         "digits or _")
+        raise PosetError("bad event label: %s" % _LABEL_RULE)
     if not isinstance(order, list) or not all(
             _is_id_list(p) and len(p) == 2 for p in order):
         raise PosetError("poset JSON 'order' must be a list of [id, id] pairs")

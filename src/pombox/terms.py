@@ -191,8 +191,7 @@ def is_sp(t):
 
 def interp_sp(t):
     """Interpret a series-parallel term as a single poset.  The left
-    operand of seq/par always occupies the lower event ids; this
-    numbering is part of the contract (syntactic_restrict relies on it)."""
+    operand of seq/par always occupies the lower event ids."""
     kind = t[0]
     if kind == "one":
         return unit()
@@ -252,77 +251,6 @@ def expand(t):
     if kind == "box":
         return [("box", a) for a in expand(t[1])]
     raise ValueError("bad term node %r" % (kind,))
-
-
-# ---------------------------------------------------------------------------
-# syntactic restriction
-
-
-def sp_size(t):
-    kind = t[0]
-    if kind == "one":
-        return 0
-    if kind == "atom":
-        return 1
-    if kind == "box":
-        return sp_size(t[1])
-    if kind in ("seq", "par"):
-        return sp_size(t[1]) + sp_size(t[2])
-    raise FragmentError("not a series-parallel term")
-
-
-def syntactic_restrict(t, A):
-    """Restrict a series-parallel term to the event set A of interp_sp(t).
-    A box survives only when A covers its subterm's whole event range."""
-    n = sp_size(t)
-    A = set(A)
-    if not A <= set(range(n)):
-        raise ValueError("restriction set out of range")
-
-    def rec(t, A, n):
-        kind = t[0]
-        if kind == "one":
-            return ONE
-        if kind == "atom":
-            return t if A else ONE
-        if kind == "box":
-            inner = rec(t[1], A, n)
-            if A == set(range(n)) and n > 0:
-                return ("box", inner)
-            return inner
-        nl = sp_size(t[1])
-        left = set(a for a in A if a < nl)
-        right = set(a - nl for a in A if a >= nl)
-        return (kind, rec(t[1], left, nl), rec(t[2], right, n - nl))
-
-    return rec(t, A, n)
-
-
-def strip_outer_box(t):
-    """Remove the full box of a term's interpretation: returns u with
-    boxed interpretation equal to t's and interp_sp(u) lacking the full
-    box.  All-unit terms yield One.  None when there is no full box."""
-    P = interp_sp(t)
-    if P.n == 0:
-        return ONE
-    if not P.has_full_box():
-        return None
-
-    def rec(t):
-        kind = t[0]
-        if kind == "box":
-            inner = t[1]
-            if interp_sp(inner).has_full_box():
-                return rec(inner)
-            return inner
-        if kind in ("seq", "par"):
-            # the full box must come from one operand; the other is empty
-            if sp_size(t[1]) == 0:
-                return rec(t[2])
-            return rec(t[1])
-        raise AssertionError("unreachable: full box on %r" % (kind,))
-
-    return rec(t)
 
 
 # ---------------------------------------------------------------------------

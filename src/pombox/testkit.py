@@ -217,9 +217,34 @@ def differential_run(cfg, n_cases, relations=logic.RELATIONS, cap=2,
 # slow references
 
 
-def find_hom_reference(src, tgt, mode):
-    """Pruning-free exhaustive homomorphism search, the reference for
-    posets.find_homomorphism."""
+# homomorphism modes: ANY maps order into order and boxes into boxes, the
+# reflecting modes also need every target pair or box to be an image
+ANY = "any"
+ORDER_REFLECTING = "order_reflecting"
+BOX_REFLECTING = "box_reflecting"
+ISO = "iso"
+
+
+def hom_ok(src, tgt, h, mode=ANY):
+    """Whether h (src event -> tgt event) is a label-respecting bijection
+    that is a homomorphism of the given mode."""
+    if mode not in (ANY, ORDER_REFLECTING, BOX_REFLECTING, ISO):
+        raise ValueError("bad mode %r" % (mode,))
+    if sorted(h) != list(range(tgt.n)) or len(h) != src.n or any(
+            src.labels[e] != tgt.labels[h[e]] for e in range(src.n)):
+        return False
+    order = {(h[a], h[b]) for (a, b) in src.order}
+    boxes = {frozenset(h[e] for e in box) for box in src.boxes}
+    if not order <= tgt.order or not boxes <= tgt.boxes:
+        return False
+    return ((mode in (ANY, BOX_REFLECTING) or order == tgt.order)
+            and (mode in (ANY, ORDER_REFLECTING) or boxes == tgt.boxes))
+
+
+def find_hom_reference(src, tgt, mode=ANY):
+    """Pruning-free exhaustive homomorphism search of the given mode, the
+    reference for posets.find_homomorphism.  Returns the map as a tuple,
+    or None."""
     if src.n != tgt.n:
         return None
     if sorted(src.labels) != sorted(tgt.labels):
@@ -237,11 +262,26 @@ def find_hom_reference(src, tgt, mode):
         for l, perm in zip(labels, combo):
             for e, t in zip(src_groups[l], perm):
                 h[e] = t
-        if all((h[a], h[b]) in tgt.order for (a, b) in src.order):
-            m = posets._check_complete(src, tgt, h, mode)
-            if m is not None:
-                return m
+        if hom_ok(src, tgt, h, mode):
+            return tuple(h)
     return None
+
+
+def classify_subset(P, A):
+    """The flags of the cut of P into A and its complement, each from its
+    definition: the reference for posets.split_ok."""
+    A = frozenset(A)
+    all_ev = frozenset(range(P.n))
+    if not A <= all_ev:
+        raise posets.PosetError("subset out of range")
+    comp = all_ev - A
+    pairs = [(a, b) for a in A for b in comp]
+    return {"nontrivial": bool(A) and bool(comp),
+            "nested": all(box <= A or box <= comp for box in P.boxes),
+            "prefix": all(P.leq(a, b) for a, b in pairs),
+            "isolated": not any(P.leq(a, b) or P.leq(b, a)
+                                for a, b in pairs),
+            "downset": not any(P.leq(b, a) for a, b in pairs)}
 
 
 def split_check(P, A, mode):
@@ -249,7 +289,7 @@ def split_check(P, A, mode):
     subset flags, and check that an explicit recomposition agrees."""
     A = set(A)
     comp = set(range(P.n)) - A
-    flags = posets.classify_subset(P, A)
+    flags = classify_subset(P, A)
     if mode == "seq":
         by_flags = flags["prefix"] and flags["nested"]
         recomposed = posets.seq(P.restrict(A), P.restrict(comp))

@@ -64,13 +64,26 @@ EVENT_A = [{"id": 0, "label": "a"}]
     {"events": EVENT_A, "boxes": [5]},
     {"events": EVENT_A, "order": [[0]]},
     {"events": [{"id": 0, "label": "a b"}]},
+    {"events": [{"id": 0, "label": "emp"}]},
 ], ids=["no-label", "no-id", "empty-label", "order-not-pair",
-        "box-not-list", "order-short-pair", "label-not-identifier"])
+        "box-not-list", "order-short-pair", "label-not-identifier",
+        "label-emp"])
 def test_malformed_poset_json_exits_two(tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     r = run_cli("mc", "--formula", "a", "--poset-json", str(path))
     assert r.returncode == 2 and "error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--formula", "emp", "emp"],
+    ["eq", "--system", "bsp", "emp", "emp"],
+], ids=["mc", "eq"])
+def test_label_emp_exits_two(argv):
+    # formulas read emp as the empty pomset, so no event may carry it
+    r = run_cli(*argv)
+    assert r.returncode == 2 and "not emp" in r.stderr
     assert "Traceback" not in r.stderr
 
 

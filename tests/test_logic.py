@@ -236,6 +236,15 @@ def test_sat_result_truth_and_replay():
                 assert replay(P, f, rel, r.witness)
 
 
+def test_replay_rejects_malformed_witnesses():
+    P = interp_sp(parse_term("a;b"))
+    f = parse_formula("a|>b")
+    assert replay(P, f, "iso", sat(P, f, "iso").witness)
+    for witness in ({"rule": "seqthen", "A": [0]},
+                    {"rule": "seqthen", "A": 0}, None):
+        assert replay(P, f, "iso", witness) is False
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -282,7 +291,7 @@ def test_box_free_witness_spaces_are_orders_up_to_iso(monkeypatch):
         space, truncated = logic._witness_space(P, "sub", 2, False)
         assert not truncated and {W.key() for W in space} == want
         want = {posets.Poset(P.labels, ext, P.boxes).key()
-                for ext in posets.order_extensions(P)}
+                for ext in posets._order_extensions(P)}
         space, truncated = logic._witness_space(P, "rev", 2, False)
         assert not truncated and {W.key() for W in space} == want
 
@@ -306,7 +315,8 @@ def test_order_extensions_match_the_all_missing_pairs_reference():
     rng = cfg.rng()
     for _ in range(200):
         P = testkit.gen_poset(cfg, rng)
-        assert posets.order_extensions(P) == _order_extensions_reference(P)
+        assert list(posets._order_extensions(P)) == \
+            _order_extensions_reference(P)
 
 
 def test_oracle_on_a_chain_under_rev_is_fast():
@@ -346,6 +356,26 @@ def test_phi_of_sp_is_satisfied_by_the_term_itself():
         f = phi_of_sp(s)
         for rel in logic.RELATIONS:
             assert sat_bool(P, f, rel), (s, rel)
+
+
+def test_phi_of_sp_on_boxed_terms_matches_the_relations():
+    cfg = testkit.GenConfig(seed=47, term_depth=4, alphabet_size=2)
+    rng = cfg.rng()
+    texts = ["[[a]]", "[1]", "1;[a]", "[1;[a]]", "[a;[b]]", "[[a]|b]"]
+    cases = [parse_term(t) for t in texts] + [
+        testkit.gen_sp_term(cfg, rng) for _ in range(40)]
+    pcfg = testkit.GenConfig(seed=48, max_events=4, alphabet_size=2)
+    prng = pcfg.rng()
+    for s in cases:
+        S = interp_sp(s)
+        f = phi_of_sp(s)
+        targets = [S, boxed(S), S.without_full_box()] + [
+            testkit.gen_poset(pcfg, prng) for _ in range(4)]
+        for P in targets:
+            for rel, direct in (("iso", iso(P, S)),
+                                ("sub", subsumed_by(P, S)),
+                                ("rev", subsumed_by(S, P))):
+                assert sat_bool(P, f, rel) == direct, (s, P, rel)
 
 
 def test_phi_of_term_is_a_disjunction_over_the_expansion():

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pombox import logic, posets, terms, testkit
-from pombox.posets import (iso, subsumed_by, atom, unit, seq, par, boxed,
-                           find_homomorphism, ISO)
+from pombox.posets import iso, subsumed_by, atom, unit, seq, par, boxed
 from pombox.terms import (
     ZERO, ONE, parse_term, render_term, TermSyntaxError, FragmentError,
-    is_sp, interp_sp, interp, expand, sp_size, syntactic_restrict,
-    strip_outer_box, sp_check, synthesize_term, set_rel, decide,
+    is_sp, interp_sp, interp, expand, sp_check, synthesize_term, set_rel,
+    decide,
 )
 
 
@@ -171,55 +170,20 @@ def test_is_sp_and_fragment_errors():
 
 
 # ---------------------------------------------------------------------------
-# restriction and box stripping
-
-
-def test_syntactic_restrict_matches_poset_restrict():
-    cfg = testkit.GenConfig(seed=3, term_depth=3)
-    rng = cfg.rng()
-    for _ in range(60):
-        s = testkit.gen_sp_term(cfg, rng)
-        P = interp_sp(s)
-        n = P.n
-        A = set(e for e in range(n) if rng.random() < 0.5)
-        flags = posets.classify_subset(P, A)
-        if not flags["nested"]:
-            continue
-        assert iso(interp_sp(syntactic_restrict(s, A)), P.restrict(A))
-
-
-def test_strip_outer_box():
-    assert strip_outer_box(parse_term("[a;b]")) == ("seq", ("atom", "a"),
-                                                    ("atom", "b"))
-    assert strip_outer_box(parse_term("a")) is None
-    assert strip_outer_box(parse_term("1")) == ONE
-    assert strip_outer_box(parse_term("[[a]]")) == ("atom", "a")
-    # box arriving through a unit-padded composition
-    t = parse_term("1;[a]")
-    u = strip_outer_box(t)
-    assert u is not None and iso(interp_sp(u), atom("a"))
-
-
-def test_strip_outer_box_removes_exactly_the_full_box():
-    cfg = testkit.GenConfig(seed=7, term_depth=3)
-    rng = cfg.rng()
-    for _ in range(80):
-        s = testkit.gen_sp_term(cfg, rng)
-        P = interp_sp(s)
-        u = strip_outer_box(s)
-        if P.n == 0:
-            assert u == ONE
-            continue
-        if not P.has_full_box():
-            assert u is None
-            continue
-        U = interp_sp(u)
-        assert iso(U, P.without_full_box())
-        assert not U.has_full_box()
-
-
-# ---------------------------------------------------------------------------
 # recognition and synthesis
+
+
+def test_restrictions_of_sp_posets_stay_sp():
+    # restrict keeps only the boxes inside A, so no forbidden pattern of
+    # P's can appear; over 6 000 restrictions of posets up to 9 events
+    cfg = testkit.GenConfig(seed=5, term_depth=5)
+    rng = cfg.rng()
+    for _ in range(150):
+        P = interp_sp(testkit.gen_sp_term(cfg, rng))
+        if P.n > 9:
+            continue
+        for A in posets.subsets(P.n):
+            assert sp_check(P.restrict(A)) is None, (P, A)
 
 
 def test_sp_check_finds_the_four_patterns():
@@ -304,5 +268,5 @@ def test_set_rel_on_singletons_matches_poset_relations():
         t = testkit.gen_sp_term(cfg, rng)
         S, T = interp_sp(s), interp_sp(t)
         assert set_rel([S], [T], "iso_incl") == (
-            find_homomorphism(S, T, ISO) is not None)
+            testkit.find_hom_reference(S, T, testkit.ISO) is not None)
         assert set_rel([S], [T], "subsume") == subsumed_by(S, T)

@@ -69,11 +69,15 @@ _MEMO = {}
 _SPLITS = ("seqthen", "parnext", "ctx")
 
 
-def sat_bool(P, f, rel):
+def _check_query(f, rel):
     if rel not in RELATIONS:
         raise ValueError("bad relation %r" % (rel,))
     if rel != "iso" and not positive(f):
         raise FragmentError("negation is only available under iso")
+
+
+def sat_bool(P, f, rel):
+    _check_query(f, rel)
     return _sat(P, f, rel)
 
 
@@ -260,7 +264,18 @@ def replay(P, f, rel, witness):
 _ORACLE_MEMO = {}
 
 
-def _tv_exists(results, extra_unknown=False):
+# Kleene's strong three-valued connectives over True, False and UNKNOWN.
+# _tv_any and _tv_all stop reading their results at the first that
+# decides, so the oracle does no work past it.
+
+
+def _tv_not(r):
+    return UNKNOWN if r == UNKNOWN else not r
+
+
+def _tv_any(results, extra_unknown=False):
+    """Disjunction; extra_unknown stands for results a truncated space
+    left out, so it turns a False answer into UNKNOWN."""
     saw_unknown = extra_unknown
     for r in results:
         if r is True:
@@ -268,6 +283,16 @@ def _tv_exists(results, extra_unknown=False):
         if r == UNKNOWN:
             saw_unknown = True
     return UNKNOWN if saw_unknown else False
+
+
+def _tv_all(results):
+    saw_unknown = False
+    for r in results:
+        if r is False:
+            return False
+        if r == UNKNOWN:
+            saw_unknown = True
+    return UNKNOWN if saw_unknown else True
 
 
 # enumeration bounds for one witness space; exceeding them marks the
@@ -327,12 +352,10 @@ def sat_oracle(P, f, rel="iso", cap=2):
     weakenings/strengthenings, decompositions found by explicit subset
     search on the witness.  Returns True, False or "unknown": unknown
     means the enumeration was cut short (the strengthening box cap was
-    hit on a formula with a box modality, or the work budget ran out),
-    so a False answer could not be trusted."""
-    if rel not in RELATIONS:
-        raise ValueError("bad relation %r" % (rel,))
-    if rel != "iso" and not positive(f):
-        raise FragmentError("negation is only available under iso")
+    hit on a formula with a box modality, a witness space passed its size
+    limits, or the work budget ran out), so a False answer could not be
+    trusted.  The connectives are Kleene's strong three-valued ones."""
+    _check_query(f, rel)
     _budget[0] = _ORACLE_BUDGET
     try:
         return _oracle(P, f, rel, cap)
@@ -352,80 +375,40 @@ def _oracle(P, f, rel, cap):
 
 def _oracle_raw(P, f, rel, cap):
     kind = f[0]
-    if kind == "emp":
+    if kind in ("emp", "atom"):
+        Q = unit() if kind == "emp" else atom(f[1])
         if rel == "iso":
-            return iso(P, unit())
-        if rel == "sub":
-            return subsumed_by(P, unit())
-        return subsumed_by(unit(), P)
-    if kind == "atom":
-        a = atom(f[1])
-        if rel == "iso":
-            return iso(P, a)
-        if rel == "sub":
-            return subsumed_by(P, a)
-        return subsumed_by(a, P)
+            return iso(P, Q)
+        return subsumed_by(P, Q) if rel == "sub" else subsumed_by(Q, P)
     if kind == "and":
-        l = _oracle(P, f[1], rel, cap)
-        if l is False:
-            return False
-        r = _oracle(P, f[2], rel, cap)
-        if r is False:
-            return False
-        if l == UNKNOWN or r == UNKNOWN:
-            return UNKNOWN
-        return True
+        return _tv_all(_oracle(P, g, rel, cap) for g in f[1:])
     if kind == "or":
-        l = _oracle(P, f[1], rel, cap)
-        if l is True:
-            return True
-        r = _oracle(P, f[2], rel, cap)
-        if r is True:
-            return True
-        if l == UNKNOWN or r == UNKNOWN:
-            return UNKNOWN
-        return False
+        return _tv_any(_oracle(P, g, rel, cap) for g in f[1:])
     if kind == "neg":
-        sub = _oracle(P, f[1], rel, cap)
-        if sub == UNKNOWN:
-            return UNKNOWN
-        return not sub
+        return _tv_not(_oracle(P, f[1], rel, cap))
 
     space, truncated = _witness_space(P, rel, cap, contains_boxmod(f))
-    gate = truncated
-
     if kind in _SPLITS:
         # every witness is checked up to isomorphism, so the split rule
-        # is always the iso one
-        def results():
+        # is always the iso one; the right side is checked only when the
+        # left is not False, and <> has none
+        def cuts_hold():
             for W in space:
                 all_ev = frozenset(range(W.n))
                 for A in subsets(W.n):
                     _tick(3)
                     comp = all_ev - A
-                    if not split_ok(W, A, comp, kind):
-                        continue
-                    l = _oracle(W.restrict(A), f[1], rel, cap)
-                    if l is False:
-                        continue
-                    r = (True if kind == "ctx"
-                         else _oracle(W.restrict(comp), f[2], rel, cap))
-                    if r is False:
-                        continue
-                    yield True if l is True and r is True else UNKNOWN
-        return _tv_exists(results(), gate)
-
+                    if split_ok(W, A, comp, kind):
+                        l = _oracle(W.restrict(A), f[1], rel, cap)
+                        r = (True if l is False or kind == "ctx"
+                             else _oracle(W.restrict(comp), f[2], rel, cap))
+                        yield _tv_all((l, r))
+        return _tv_any(cuts_hold(), truncated)
     if kind == "boxmod":
         if P.n == 0:
             return _oracle(P, f[1], rel, cap)
-
-        def results():
-            for W in space:
-                if not W.has_full_box():
-                    continue
-                yield _oracle(W.without_full_box(), f[1], rel, cap)
-        return _tv_exists(results(), gate)
-
+        return _tv_any((_oracle(W.without_full_box(), f[1], rel, cap)
+                        for W in space if W.has_full_box()), truncated)
     raise ValueError("bad formula node %r" % (kind,))
 
 

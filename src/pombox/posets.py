@@ -497,12 +497,6 @@ def canonical_key(P):
     for e in range(P.n):
         groups.setdefault(sigs[e], []).append(e)
     sigs_sorted = sorted(groups)
-    # new ids are assigned in blocks per signature class
-    base = {}
-    pos = 0
-    for s in sigs_sorted:
-        base[s] = pos
-        pos += len(groups[s])
     order = list(P.order)
     boxes = [tuple(box) for box in P.boxes]
     if len(groups) == P.n:
@@ -512,10 +506,9 @@ def canonical_key(P):
         orders = [_twin_orders(groups[s], twins) for s in sigs_sorted]
     best = None
     for combo in itertools.product(*orders):
-        ren = {}
-        for s, perm in zip(sigs_sorted, combo):
-            for off, old in enumerate(perm):
-                ren[old] = base[s] + off
+        # new ids are assigned in blocks per signature class
+        ren = {old: new for new, old in
+               enumerate(itertools.chain.from_iterable(combo))}
         order_enc = tuple(sorted((ren[a], ren[b]) for (a, b) in order))
         boxes_enc = tuple(sorted(tuple(sorted(ren[e] for e in box))
                                  for box in boxes))

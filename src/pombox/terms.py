@@ -95,7 +95,8 @@ class Grammar:
 
     def parse(self, text):
         """Precedence climbing: one recursion per operand and per nesting
-        level, one loop per run of infix operators."""
+        level, one loop per run of infix operators.  Input nested past the
+        interpreter's recursion limit raises the grammar's error."""
         toks = self._tokenize(text)
         infix, prefix = self.infix, self.prefix
         brackets, constants = self.brackets, self.constants
@@ -134,7 +135,10 @@ class Grammar:
                 t = (kind, t, expression(prec if right else prec + 1))
             return t
 
-        t = expression(0)
+        try:
+            t = expression(0)
+        except RecursionError:
+            raise self.error("input nested too deeply", toks[i][1]) from None
         if toks[i][0] is not None:
             raise self.error("trailing input", toks[i][1])
         return t
@@ -267,29 +271,6 @@ class PatternWitness:
         return {"pattern": self.pattern,
                 "events": list(self.events),
                 "boxes": [sorted(b) for b in self.boxes]}
-
-    def validate(self, P):
-        le = P.leq
-        if self.pattern == "P1":
-            e1, e2, e3, e4 = self.events
-            return (le(e1, e3) and le(e2, e3) and le(e2, e4)
-                    and not le(e1, e4) and not le(e2, e1)
-                    and not le(e4, e3))
-        if self.pattern == "P2":
-            A, B = self.boxes
-            return (A in P.boxes and B in P.boxes
-                    and bool(A - B) and bool(A & B) and bool(B - A))
-        if self.pattern == "P3":
-            e1, e2, e3 = self.events
-            (A,) = self.boxes
-            return (A in P.boxes and e1 not in A and e2 in A and e3 in A
-                    and le(e1, e2) and not le(e1, e3))
-        if self.pattern == "P4":
-            e1, e2, e3 = self.events
-            (A,) = self.boxes
-            return (A in P.boxes and e1 not in A and e2 in A and e3 in A
-                    and le(e2, e1) and not le(e3, e1))
-        return False
 
     def __repr__(self):
         return "PatternWitness(%s, events=%r, boxes=%r)" % (

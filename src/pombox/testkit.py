@@ -190,12 +190,10 @@ def shrink(d, cap=2):
     return Discrepancy(P, f, rel, expected, actual, True)
 
 
-def differential_run(cfg, n_cases, relations=logic.RELATIONS, cap=2,
-                     sat_fn=None):
+def differential_run(cfg, n_cases, relations=logic.RELATIONS, cap=2):
     """Compare the engine against the oracle on random cases; returns the
-    (shrunk) discrepancies.  sat_fn lets mutation tests swap the engine."""
+    shrunk discrepancies."""
     rng = cfg.rng()
-    sat_fn = sat_fn or logic.sat_bool
     out = []
     for _ in range(n_cases):
         P = gen_poset(cfg, rng)
@@ -204,12 +202,10 @@ def differential_run(cfg, n_cases, relations=logic.RELATIONS, cap=2,
             expected = logic.sat_oracle(P, f, rel, cap)
             if expected == logic.UNKNOWN:
                 continue
-            actual = sat_fn(P, f, rel)
+            actual = logic.sat_bool(P, f, rel)
             if actual != expected:
-                d = Discrepancy(P, f, rel, expected, actual)
-                if sat_fn is logic.sat_bool:
-                    d = shrink(d, cap)
-                out.append(d)
+                out.append(shrink(Discrepancy(P, f, rel, expected, actual),
+                                  cap))
     return out
 
 
@@ -282,6 +278,32 @@ def classify_subset(P, A):
             "isolated": not any(P.leq(a, b) or P.leq(b, a)
                                 for a, b in pairs),
             "downset": not any(P.leq(b, a) for a, b in pairs)}
+
+
+def pattern_holds(P, w):
+    """Whether the terms.sp_check witness w is an instance of its forbidden
+    pattern in P, checked from the pattern's definition."""
+    le = P.leq
+    if w.pattern == "P1":
+        e1, e2, e3, e4 = w.events
+        return (le(e1, e3) and le(e2, e3) and le(e2, e4)
+                and not le(e1, e4) and not le(e2, e1)
+                and not le(e4, e3))
+    if w.pattern == "P2":
+        A, B = w.boxes
+        return (A in P.boxes and B in P.boxes
+                and bool(A - B) and bool(A & B) and bool(B - A))
+    if w.pattern == "P3":
+        e1, e2, e3 = w.events
+        (A,) = w.boxes
+        return (A in P.boxes and e1 not in A and e2 in A and e3 in A
+                and le(e1, e2) and not le(e1, e3))
+    if w.pattern == "P4":
+        e1, e2, e3 = w.events
+        (A,) = w.boxes
+        return (A in P.boxes and e1 not in A and e2 in A and e3 in A
+                and le(e2, e1) and not le(e3, e1))
+    return False
 
 
 def split_check(P, A, mode):

@@ -115,7 +115,7 @@ def test_criterion_2_sp_characterization():
                 ok = False
                 break
         else:
-            if t is not None or not w.validate(P):
+            if t is not None or not testkit.pattern_holds(P, w):
                 ok = False
                 break
     took = time.time() - start

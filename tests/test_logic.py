@@ -268,6 +268,38 @@ def test_oracle_reports_unknown_when_the_box_cap_bites():
                       cap=0) is True
 
 
+def _read_once_decided(l, r, deciding):
+    # l then r, failing if r is asked for after l already decided
+    yield l
+    if l is deciding:
+        raise AssertionError("read past the deciding result")
+    yield r
+
+
+def test_three_valued_helpers_follow_kleenes_tables():
+    values = (True, UNKNOWN, False)
+    # Kleene's strong tables: rows are the left operand and columns the
+    # right one, both in the order of values
+    and_table = [[True, UNKNOWN, False],
+                 [UNKNOWN, UNKNOWN, False],
+                 [False, False, False]]
+    or_table = [[True, True, True],
+                [True, UNKNOWN, UNKNOWN],
+                [True, UNKNOWN, False]]
+    for i, l in enumerate(values):
+        for j, r in enumerate(values):
+            assert logic._tv_all(
+                _read_once_decided(l, r, False)) is and_table[i][j]
+            assert logic._tv_any(
+                _read_once_decided(l, r, True)) is or_table[i][j]
+    assert [logic._tv_not(v) for v in values] == [False, UNKNOWN, True]
+    # results a truncated space left out count as unknown
+    assert logic._tv_any(iter([False, False]), True) is UNKNOWN
+    assert logic._tv_any(iter([False, True]), True) is True
+    assert logic._tv_any(iter([])) is False
+    assert logic._tv_all(iter([])) is True
+
+
 def test_oracle_differential_small():
     cfg = testkit.GenConfig(seed=31, max_events=3, formula_depth=3)
     found = testkit.differential_run(cfg, 40)

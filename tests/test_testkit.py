@@ -47,19 +47,22 @@ def test_differential_run_is_clean_on_the_real_engine():
     assert differential_run(cfg, 30) == []
 
 
-def test_differential_run_catches_a_seeded_fault():
+def test_differential_run_catches_a_seeded_fault(monkeypatch):
     # a broken engine that lets restrictions cut boxes open under iso,
     # so boxes no longer shield their interior from the context modality
+    real = logic.sat_bool
+
     def broken(P, f, rel):
         if f[0] == "ctx" and rel == "iso":
             for A in posets.subsets(P.n):
                 if broken(P.restrict(A), f[1], rel):
                     return True
             return False
-        return logic.sat_bool(P, f, rel)
+        return real(P, f, rel)
 
+    monkeypatch.setattr(logic, "sat_bool", broken)
     cfg = GenConfig(seed=8, max_events=4, formula_depth=2)
-    found = differential_run(cfg, 150, relations=("iso",), sat_fn=broken)
+    found = differential_run(cfg, 150, relations=("iso",))
     assert found, "the harness must flag the seeded fault"
     for d in found:
         assert d.expected != d.actual

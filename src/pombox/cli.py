@@ -8,9 +8,6 @@ import sys
 import traceback
 
 from . import posets, terms, logic, testkit
-from .posets import PosetError
-from .terms import TermSyntaxError, FragmentError
-from .logic import FormulaSyntaxError
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +408,7 @@ def main(argv=None):
     (including input nested too deeply), 3 unexpected internal error."""
     try:
         return run(sys.argv[1:] if argv is None else argv)
-    except (PosetError, TermSyntaxError, FormulaSyntaxError, FragmentError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:

@@ -51,15 +51,24 @@ class Poset:
     """Immutable labelled poset with boxes."""
 
     def __init__(self, labels, order, boxes, _checked=False):
+        """Validates its input unless _checked, which promises a valid
+        poset whose order pairs are tuples and whose boxes are frozensets;
+        those are then stored as given."""
         self.labels = tuple(labels)
         self.n = len(self.labels)
-        self.order = frozenset((int(a), int(b)) for a, b in order)
-        self.boxes = frozenset(frozenset(b) for b in boxes)
         self._key = None
-        if not _checked:
+        if _checked:
+            self.order = frozenset(order)
+            self.boxes = frozenset(boxes)
+        else:
+            self.order = frozenset((a, b) for a, b in order)
+            self.boxes = frozenset(frozenset(b) for b in boxes)
             self._validate()
 
     def _validate(self):
+        for label in self.labels:
+            if not _is_label(label):
+                raise PosetError("bad label %r: %s" % (label, _LABEL_RULE))
         ev = set(range(self.n))
         for (a, b) in self.order:
             if a not in ev or b not in ev:
@@ -68,7 +77,7 @@ class Poset:
                 raise PosetError("order must be irreflexive")
             if (b, a) in self.order:
                 raise PosetError("order must be antisymmetric")
-        if not is_transitively_closed(self.order):
+        if transitive_closure(self.n, self.order) != self.order:
             raise PosetError("order must be transitively closed")
         for box in self.boxes:
             if not box:
@@ -152,9 +161,7 @@ def unit():
 
 
 def atom(label):
-    if not _is_label(label):
-        raise PosetError("bad label %r: %s" % (label, _LABEL_RULE))
-    return Poset((label,), (), (), _checked=True)
+    return Poset((label,), (), ())
 
 
 def _shift(P, off):
@@ -189,22 +196,11 @@ def boxed(P):
 
 def from_edges(labels, edges, boxes):
     """Build a poset from an arbitrary DAG edge list (closure is taken)."""
-    n = len(labels)
-    ev = set(range(n))
+    ev = range(len(labels))
     for (a, b) in edges:
         if a not in ev or b not in ev:
             raise PosetError("unknown id in order: %r" % ((a, b),))
-    closed = transitive_closure(n, edges)
-    for (a, b) in closed:
-        if a == b or (b, a) in closed:
-            raise PosetError("cycle in order")
-    for box in boxes:
-        if not box:
-            raise PosetError("empty box")
-        if not set(box) <= ev:
-            raise PosetError("unknown id in box: %r" % (sorted(box),))
-    return Poset(labels, closed, [frozenset(b) for b in boxes],
-                 _checked=True)
+    return Poset(labels, transitive_closure(len(labels), edges), boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +485,10 @@ def _interleavings(classes):
 
 
 def canonical_key(P):
-    """Total encoding invariant under isomorphism: minimum over
-    relabellings, with permutations restricted to classes of equal
-    iso-invariant event signature and taken once per order of twins."""
+    """P's canonical form (labels, order, boxes): P renumbered by the
+    least relabelling that keeps events in blocks of equal iso-invariant
+    signature, blocks in signature order, taken once per order of twins.
+    Equal keys mean isomorphic posets."""
     sigs = _event_signatures(P)
     groups = {}
     for e in range(P.n):
@@ -515,7 +512,7 @@ def canonical_key(P):
         enc = (order_enc, boxes_enc)
         if best is None or enc < best:
             best = enc
-    return (P.n, tuple(sigs_sorted), best)
+    return (tuple(s[0] for s in sigs_sorted for _ in groups[s]),) + best
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +550,13 @@ def from_json(data):
         raise PosetError("duplicate event ids")
     if set(labels) != set(range(len(labels))):
         raise PosetError("event ids must be exactly 0..n-1")
-    if not all(_is_label(l) for l in labels.values()):
-        raise PosetError("bad event label: %s" % _LABEL_RULE)
     if not isinstance(order, list) or not all(
             _is_id_list(p) and len(p) == 2 for p in order):
         raise PosetError("poset JSON 'order' must be a list of [id, id] pairs")
     if not isinstance(boxes, list) or not all(map(_is_id_list, boxes)):
         raise PosetError("poset JSON 'boxes' must be a list of id lists")
     labels = [labels[e] for e in range(len(labels))]
-    return from_edges(labels, [tuple(e) for e in order],
-                      [set(b) for b in boxes])
+    return from_edges(labels, order, boxes)
 
 
 def to_json(P):

@@ -336,8 +336,6 @@ def synthesize_term(P):
 
 
 def set_rel(A, B, rel):
-    if rel == "iso_incl":
-        return {p.key() for p in A} <= {q.key() for q in B}
     if rel == "iso_eq":
         return {p.key() for p in A} == {q.key() for q in B}
     if rel == "subsume":

@@ -345,25 +345,19 @@ def canonical_key_reference(P):
     for e in range(P.n):
         groups.setdefault(sigs[e], []).append(e)
     sigs_sorted = sorted(groups)
-    base = {}
-    pos = 0
-    for s in sigs_sorted:
-        base[s] = pos
-        pos += len(groups[s])
     best = None
     for combo in itertools.product(
             *[itertools.permutations(groups[s]) for s in sigs_sorted]):
-        ren = {}
-        for s, perm in zip(sigs_sorted, combo):
-            for off, old in enumerate(perm):
-                ren[old] = base[s] + off
+        ren = {old: new for new, old in
+               enumerate(itertools.chain.from_iterable(combo))}
         order_enc = tuple(sorted((ren[a], ren[b]) for (a, b) in P.order))
         boxes_enc = tuple(sorted(tuple(sorted(ren[e] for e in box))
                                  for box in P.boxes))
         enc = (order_enc, boxes_enc)
         if best is None or enc < best:
             best = enc
-    return (P.n, tuple(sigs_sorted), best)
+    labels = tuple(P.labels[e] for s in sigs_sorted for e in groups[s])
+    return (labels,) + best
 
 
 def choose_reference(P, f, rel):

@@ -29,6 +29,11 @@ def test_eq_false_exits_one():
     assert r.returncode == 1 and r.stdout.strip() == "false"
 
 
+def test_eq_counts_events_per_label():
+    r = run_cli("eq", "--system", "bsp", "a|a|b", "a|b|b")
+    assert r.returncode == 1 and r.stdout.strip() == "false"
+
+
 def test_leq_box_axiom():
     r = run_cli("leq", "--system", "cmb", "[a;b]", "a;b")
     assert r.returncode == 0

@@ -218,6 +218,14 @@ def test_choose_matches_the_all_subsets_reference():
                         testkit.choose_reference(Q, g, rel), (Q, g, rel)
 
 
+def test_memo_tells_apart_posets_with_other_label_counts():
+    aab = interp_sp(parse_term("a|a|b"))
+    abb = interp_sp(parse_term("a|b|b"))
+    f = parse_formula("(a||a)||b")
+    assert sat_bool(aab, f, "iso")
+    assert not sat_bool(abb, f, "iso")
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -234,6 +242,16 @@ def test_sat_result_truth_and_replay():
             if r.truth:
                 assert r.witness is not None
                 assert replay(P, f, rel, r.witness)
+
+
+def test_query_holding_on_a_part_with_other_label_counts():
+    # true on the a|b|b part, where a memo keyed without label counts
+    # would answer for a|a|b
+    P = interp_sp(parse_term("a|a|b|b"))
+    f = parse_formula("<>(<>(b||b) /\\ ~<>(a||a) /\\ (~emp||~emp||~emp))")
+    assert sat_oracle(P, f, "iso") is True
+    r = sat(P, f, "iso")
+    assert r.truth and replay(P, f, "iso", r.witness)
 
 
 def test_replay_rejects_malformed_witnesses():

@@ -61,13 +61,23 @@ def test_validation_rejects_bad_input():
         Poset(["a"], [], [[]])  # empty box
     with pytest.raises(PosetError):
         Poset(["a"], [], [[3]])  # box out of range
+    with pytest.raises(PosetError):
+        Poset(["emp"], [], [])  # formulas read emp as the empty pomset
+    with pytest.raises(PosetError):
+        Poset(["a b"], [], [])
+    assert Poset(["a", "b"], [[0, 1]], []).order == frozenset([(0, 1)])
 
 
 def test_from_edges_closes_and_detects_cycles():
     P = from_edges(["a", "b", "c"], [(0, 1), (1, 2)], [])
     assert (0, 2) in P.order
-    with pytest.raises(PosetError):
-        from_edges(["a", "b"], [(0, 1), (1, 0)], [])
+    for edges, boxes in (([(0, 1), (1, 0)], []),  # cycle
+                         ([(1, 1)], []),  # self-loop
+                         ([(0, 2)], []),  # unknown id in order
+                         ([], [[]]),  # empty box
+                         ([], [[0, 2]])):  # unknown id in box
+        with pytest.raises(PosetError):
+            from_edges(["a", "b"], edges, boxes)
 
 
 def test_transitive_closure_and_reduction_are_inverse():
@@ -180,6 +190,28 @@ def test_canonical_key_separates_non_isomorphic():
     for P, Q in itertools.combinations(sample, 2):
         assert (P.key() == Q.key()) == (
             testkit.find_hom_reference(P, Q, testkit.ISO) is not None)
+
+
+def test_canonical_key_counts_the_events_of_each_label():
+    assert not iso(par(par(atom("a"), atom("a")), atom("b")),
+                   par(par(atom("a"), atom("b")), atom("b")))
+    # every labelling over two letters of sparse shapes of up to 5 events:
+    # posets of one size that differ only in label multiplicities
+    rng = random.Random(31)
+    for n in range(1, 6):
+        family = []
+        for _ in range(4):
+            edges = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                     if rng.random() < 0.2]
+            boxes = [rng.sample(range(n), rng.randint(1, n))
+                     for _ in range(rng.randint(0, 1))]
+            shape = from_edges(["a"] * n, edges, boxes)
+            family += [Poset(labels, shape.order, shape.boxes)
+                       for labels in itertools.product("ab", repeat=n)]
+        for P, Q in itertools.combinations(family, 2):
+            assert (P.key() == Q.key()) == (
+                testkit.find_hom_reference(P, Q, testkit.ISO) is not None), \
+                (P, Q)
 
 
 def test_canonical_key_matches_the_brute_force_reference():

@@ -282,6 +282,6 @@ def test_set_rel_on_singletons_matches_poset_relations():
         s = testkit.gen_sp_term(cfg, rng)
         t = testkit.gen_sp_term(cfg, rng)
         S, T = interp_sp(s), interp_sp(t)
-        assert set_rel([S], [T], "iso_incl") == (
+        assert set_rel([S], [T], "iso_eq") == (
             testkit.find_hom_reference(S, T, testkit.ISO) is not None)
         assert set_rel([S], [T], "subsume") == subsumed_by(S, T)

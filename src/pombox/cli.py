@@ -214,14 +214,14 @@ def _load_poset_json(path):
 
 
 def _single_poset(args):
-    if getattr(args, "poset_json", None):
+    if args.poset_json:
         return _load_poset_json(args.poset_json)
     t = terms.parse_term(_text(args.term))
     return terms.interp_sp(t)
 
 
 def _poset_set(args):
-    if getattr(args, "poset_json", None):
+    if args.poset_json:
         return [_load_poset_json(args.poset_json)]
     return terms.interp(terms.parse_term(_text(args.term)))
 
@@ -243,6 +243,13 @@ def _at_least(low):
     return count
 
 
+def _poset_source(q):
+    """The poset comes from exactly one of --poset-json and a term."""
+    src = q.add_mutually_exclusive_group(required=True)
+    src.add_argument("--poset-json")
+    src.add_argument("term", nargs="?")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="pombox",
@@ -261,19 +268,16 @@ def build_parser():
     q.add_argument("--relation", choices=logic.RELATIONS, default="iso")
     q.add_argument("--quantifier", choices=("all", "some"), default="all")
     q.add_argument("--formula", required=True)
-    q.add_argument("--poset-json")
     q.add_argument("--json", action="store_true")
-    q.add_argument("term", nargs="?")
+    _poset_source(q)
 
     q = sub.add_parser("synth", help="synthesize a term from a poset")
-    q.add_argument("--poset-json")
     q.add_argument("--json", action="store_true")
-    q.add_argument("term", nargs="?")
+    _poset_source(q)
 
     q = sub.add_parser("patterns", help="report forbidden patterns")
-    q.add_argument("--poset-json")
     q.add_argument("--json", action="store_true")
-    q.add_argument("term", nargs="?")
+    _poset_source(q)
 
     q = sub.add_parser("factorize",
                        help="factor a subsumption into box/order steps")
@@ -284,9 +288,8 @@ def build_parser():
     q.add_argument("rhs")
 
     q = sub.add_parser("export-dot", help="write a poset in DOT format")
-    q.add_argument("--poset-json")
     q.add_argument("-o", "--output")
-    q.add_argument("term", nargs="?")
+    _poset_source(q)
 
     q = sub.add_parser("examples", help="run a built-in case study")
     q.add_argument("name", choices=("counter", "voting"))
@@ -314,8 +317,6 @@ def run(argv):
         return 0 if res else 1
 
     if args.cmd == "mc":
-        if args.term is None and not args.poset_json:
-            parser.error("mc needs a term or --poset-json")
         members = _poset_set(args)
         f = logic.parse_formula(_text(args.formula))
         holds = logic.sat_set(members, f, args.relation, args.quantifier)
@@ -331,8 +332,6 @@ def run(argv):
         return 0 if holds else 1
 
     if args.cmd == "synth":
-        if args.term is None and not args.poset_json:
-            parser.error("synth needs a term or --poset-json")
         P = _single_poset(args)
         t = terms.synthesize_term(P)
         if t is None:
@@ -345,8 +344,6 @@ def run(argv):
         return 0
 
     if args.cmd == "patterns":
-        if args.term is None and not args.poset_json:
-            parser.error("patterns needs a term or --poset-json")
         P = _single_poset(args)
         w = terms.sp_check(P)
         if w is None:
@@ -373,8 +370,6 @@ def run(argv):
         return 0
 
     if args.cmd == "export-dot":
-        if args.term is None and not args.poset_json:
-            parser.error("export-dot needs a term or --poset-json")
         P = _single_poset(args)
         dot = posets.to_dot(P)
         if args.output:

@@ -261,9 +261,6 @@ def replay(P, f, rel, witness):
 # brute-force oracle: definition-level witness enumeration
 
 
-_ORACLE_MEMO = {}
-
-
 # Kleene's strong three-valued connectives over True, False and UNKNOWN.
 # _tv_any and _tv_all stop reading their results at the first that
 # decides, so the oracle does no work past it.
@@ -302,27 +299,27 @@ _SPACE_LIMIT = 400
 _SPACE_RAW_LIMIT = 4000
 
 
-def _witness_space(P, rel, cap, with_boxes):
+def _witness_space(P, run, with_boxes):
     """Witness posets for one definitional clause, deduplicated up to
     isomorphism.  When the clause's formula has no box modality, box
     variation cannot matter (boxes only ever hurt box-free positive
     formulas), so only the mandatory boxes are kept.  The space is
     enumerated smallest changes first and clipped at fixed bounds; a
     clipped space is flagged truncated."""
-    if rel == "iso":
+    if run.rel == "iso":
         return (P,), False
-    if rel == "sub":
+    if run.rel == "sub":
         space = weakenings(P if with_boxes
                            else Poset(P.labels, P.order, (), _checked=True))
         truncated = False
     else:
-        space = strengthenings(P, cap if with_boxes else 0)
-        truncated = with_boxes and len(new_box_candidates(P)) > cap
+        space = strengthenings(P, run.cap if with_boxes else 0)
+        truncated = with_boxes and len(new_box_candidates(P)) > run.cap
     seen = {}
     raw = 0
     for W in space:
         raw += 1
-        _tick(20)
+        run.tick(20)
         seen.setdefault(W.key(), W)
         if len(seen) >= _SPACE_LIMIT or raw >= _SPACE_RAW_LIMIT:
             truncated = True
@@ -338,13 +335,25 @@ class _BudgetExhausted(Exception):
 # enumerations can explode combinatorially, so past this the call gives up
 # and answers "unknown"
 _ORACLE_BUDGET = 3000000
-_budget = [0]
+
+# emp and atom answers, shared by every call: a leaf costs a call one step
+# whether computed or looked up, so sharing changes no answer or budget
+_LEAVES = {}
 
 
-def _tick(weight=1):
-    _budget[0] -= weight
-    if _budget[0] < 0:
-        raise _BudgetExhausted()
+class _Run:
+    """One sat_oracle call: relation, box cap, budget left and memo."""
+
+    def __init__(self, rel, cap):
+        self.rel = rel
+        self.cap = cap
+        self.budget = _ORACLE_BUDGET
+        self.memo = {}
+
+    def tick(self, weight=1):
+        self.budget -= weight
+        if self.budget < 0:
+            raise _BudgetExhausted()
 
 
 def sat_oracle(P, f, rel="iso", cap=2):
@@ -354,40 +363,40 @@ def sat_oracle(P, f, rel="iso", cap=2):
     means the enumeration was cut short (the strengthening box cap was
     hit on a formula with a box modality, a witness space passed its size
     limits, or the work budget ran out), so a False answer could not be
-    trusted.  The connectives are Kleene's strong three-valued ones."""
+    trusted.  The connectives are Kleene's strong three-valued ones.
+    A call owns its budget and memo: no earlier call changes its answer."""
     _check_query(f, rel)
-    _budget[0] = _ORACLE_BUDGET
     try:
-        return _oracle(P, f, rel, cap)
+        return _oracle(_Run(rel, cap), P, f)
     except _BudgetExhausted:
         return UNKNOWN
 
 
-def _oracle(P, f, rel, cap):
-    _tick()
-    key = (P.key(), f, rel, cap)
-    hit = _ORACLE_MEMO.get(key)
+def _oracle(run, P, f):
+    run.tick()
+    memo = _LEAVES if f[0] in ("emp", "atom") else run.memo
+    key = (P.key(), f, run.rel)
+    hit = memo.get(key)
     if hit is None:
-        hit = _oracle_raw(P, f, rel, cap)
-        _ORACLE_MEMO[key] = hit
+        hit = memo[key] = _oracle_raw(run, P, f)
     return hit
 
 
-def _oracle_raw(P, f, rel, cap):
+def _oracle_raw(run, P, f):
     kind = f[0]
     if kind in ("emp", "atom"):
         Q = unit() if kind == "emp" else atom(f[1])
-        if rel == "iso":
+        if run.rel == "iso":
             return iso(P, Q)
-        return subsumed_by(P, Q) if rel == "sub" else subsumed_by(Q, P)
+        return subsumed_by(P, Q) if run.rel == "sub" else subsumed_by(Q, P)
     if kind == "and":
-        return _tv_all(_oracle(P, g, rel, cap) for g in f[1:])
+        return _tv_all(_oracle(run, P, g) for g in f[1:])
     if kind == "or":
-        return _tv_any(_oracle(P, g, rel, cap) for g in f[1:])
+        return _tv_any(_oracle(run, P, g) for g in f[1:])
     if kind == "neg":
-        return _tv_not(_oracle(P, f[1], rel, cap))
+        return _tv_not(_oracle(run, P, f[1]))
 
-    space, truncated = _witness_space(P, rel, cap, contains_boxmod(f))
+    space, truncated = _witness_space(P, run, contains_boxmod(f))
     if kind in _SPLITS:
         # every witness is checked up to isomorphism, so the split rule
         # is always the iso one; the right side is checked only when the
@@ -396,18 +405,18 @@ def _oracle_raw(P, f, rel, cap):
             for W in space:
                 all_ev = frozenset(range(W.n))
                 for A in subsets(W.n):
-                    _tick(3)
+                    run.tick(3)
                     comp = all_ev - A
                     if split_ok(W, A, comp, kind):
-                        l = _oracle(W.restrict(A), f[1], rel, cap)
+                        l = _oracle(run, W.restrict(A), f[1])
                         r = (True if l is False or kind == "ctx"
-                             else _oracle(W.restrict(comp), f[2], rel, cap))
+                             else _oracle(run, W.restrict(comp), f[2]))
                         yield _tv_all((l, r))
         return _tv_any(cuts_hold(), truncated)
     if kind == "boxmod":
         if P.n == 0:
-            return _oracle(P, f[1], rel, cap)
-        return _tv_any((_oracle(W.without_full_box(), f[1], rel, cap)
+            return _oracle(run, P, f[1])
+        return _tv_any((_oracle(run, W.without_full_box(), f[1])
                         for W in space if W.has_full_box()), truncated)
     raise ValueError("bad formula node %r" % (kind,))
 

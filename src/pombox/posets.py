@@ -47,6 +47,12 @@ _KEY_CACHE = {}
 _KEY_CACHE_LIMIT = 500000
 
 
+def _is_event(x, n):
+    """Whether x is an event id of an n-event poset: an int, as from_json
+    demands, since 0.0 and False compare equal to 0 as well."""
+    return type(x) is int and 0 <= x < n
+
+
 class Poset:
     """Immutable labelled poset with boxes."""
 
@@ -69,10 +75,9 @@ class Poset:
         for label in self.labels:
             if not _is_label(label):
                 raise PosetError("bad label %r: %s" % (label, _LABEL_RULE))
-        ev = set(range(self.n))
         for (a, b) in self.order:
-            if a not in ev or b not in ev:
-                raise PosetError("order pair out of range: %r" % ((a, b),))
+            if not (_is_event(a, self.n) and _is_event(b, self.n)):
+                raise PosetError("bad event id in order pair: %r" % ((a, b),))
             if a == b:
                 raise PosetError("order must be irreflexive")
             if (b, a) in self.order:
@@ -82,8 +87,8 @@ class Poset:
         for box in self.boxes:
             if not box:
                 raise PosetError("boxes must be non-empty")
-            if not box <= ev:
-                raise PosetError("box out of range: %r" % (sorted(box),))
+            if not all(_is_event(e, self.n) for e in box):
+                raise PosetError("bad event id in box: %r" % (set(box),))
 
     def leq(self, a, b):
         return a == b or (a, b) in self.order
@@ -196,9 +201,8 @@ def boxed(P):
 
 def from_edges(labels, edges, boxes):
     """Build a poset from an arbitrary DAG edge list (closure is taken)."""
-    ev = range(len(labels))
     for (a, b) in edges:
-        if a not in ev or b not in ev:
+        if not (_is_event(a, len(labels)) and _is_event(b, len(labels))):
             raise PosetError("unknown id in order: %r" % ((a, b),))
     return Poset(labels, transitive_closure(len(labels), edges), boxes)
 

@@ -213,18 +213,16 @@ def differential_run(cfg, n_cases, relations=logic.RELATIONS, cap=2):
 # slow references
 
 
-# homomorphism modes: ANY maps order into order and boxes into boxes, the
-# reflecting modes also need every target pair or box to be an image
+# homomorphism modes: ANY maps order into order and boxes into boxes, ISO
+# also needs every target pair and box to be an image
 ANY = "any"
-ORDER_REFLECTING = "order_reflecting"
-BOX_REFLECTING = "box_reflecting"
 ISO = "iso"
 
 
 def hom_ok(src, tgt, h, mode=ANY):
     """Whether h (src event -> tgt event) is a label-respecting bijection
     that is a homomorphism of the given mode."""
-    if mode not in (ANY, ORDER_REFLECTING, BOX_REFLECTING, ISO):
+    if mode not in (ANY, ISO):
         raise ValueError("bad mode %r" % (mode,))
     if sorted(h) != list(range(tgt.n)) or len(h) != src.n or any(
             src.labels[e] != tgt.labels[h[e]] for e in range(src.n)):
@@ -233,8 +231,7 @@ def hom_ok(src, tgt, h, mode=ANY):
     boxes = {frozenset(h[e] for e in box) for box in src.boxes}
     if not order <= tgt.order or not boxes <= tgt.boxes:
         return False
-    return ((mode in (ANY, BOX_REFLECTING) or order == tgt.order)
-            and (mode in (ANY, ORDER_REFLECTING) or boxes == tgt.boxes))
+    return mode == ANY or (order == tgt.order and boxes == tgt.boxes)
 
 
 def find_hom_reference(src, tgt, mode=ANY):

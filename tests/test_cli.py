@@ -58,6 +58,18 @@ def test_usage_error_exits_two():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("cmd", [["mc", "--formula", "a"], ["synth"],
+                                 ["patterns"], ["export-dot"]],
+                         ids=lambda cmd: cmd[0])
+@pytest.mark.parametrize("source", [[], ["--poset-json", "p.json", "a"]],
+                         ids=["neither", "both"])
+def test_poset_source_is_a_term_or_poset_json(cmd, source):
+    # exactly one of the two: with both, the term is not silently ignored
+    r = run_cli(*(cmd + source))
+    assert r.returncode == 2 and "usage:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 EVENT_A = [{"id": 0, "label": "a"}]
 
 

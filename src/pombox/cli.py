@@ -11,114 +11,101 @@ from . import posets, terms, logic, testkit
 
 
 # ---------------------------------------------------------------------------
-# case-study builders
+# case-study builders, written in the concrete syntax of terms.parse_term
+# and logic.parse_formula
 
 
-def _fold(kind, parts):
-    t = parts[0]
-    for p in parts[1:]:
-        t = (kind, t, p)
-    return t
+def _group(text, boxed):
+    """text as one operand: boxed, or else in parentheses."""
+    return ("[%s]" if boxed else "(%s)") % text
 
 
 def build_counter(boxed=True):
     """The two-counter increment program as a series-parallel term."""
-    def thread(r, i, w):
-        body = ("seq", ("seq", ("atom", r), ("atom", i)), ("atom", w))
-        return ("box", body) if boxed else body
-    mid = ("par", thread("rx", "ix", "wx"), thread("ry", "iy", "wy"))
-    return ("seq", ("seq", ("atom", "print"), mid), ("atom", "print"))
+    return terms.parse_term("print;(%s|%s);print" % (
+        _group("rx;ix;wx", boxed), _group("ry;iy;wy", boxed)))
 
 
 def build_counter_faulty_run():
     """A bad schedule of the unboxed program: both reads happen before
     both writes."""
-    return _fold("seq", [
-        ("atom", "print"),
-        ("par", ("atom", "rx"), ("atom", "ry")),
-        ("par", ("atom", "ix"), ("atom", "iy")),
-        ("par", ("atom", "wx"), ("atom", "wy")),
-        ("atom", "print"),
-    ])
+    return terms.parse_term("print;(rx|ry);(ix|iy);(wx|wy);print")
 
 
 def counter_conflict_formula():
     return logic.parse_formula("<>((rx||ry)|>(wx||wy))")
 
 
-def _vote(i, k):
-    branches = []
-    for j in range(1, k + 1):
-        branches.append(_fold("seq", [
-            ("atom", "choose_%d_%d" % (i, j)),
-            ("atom", "read_%d" % j),
-            ("atom", "inc"),
-            ("atom", "write_%d" % j),
-        ]))
-    return _fold("join", branches)
+def _choose(n, k, boxed):
+    """The n voters in parallel: voter i chooses one of the k counters j,
+    then reads, increments and writes it."""
+    return "|".join(_group("+".join(
+        "choose_%d_%d;read_%d;inc;write_%d" % (i, j, j, j)
+        for j in range(1, k + 1)), boxed) for i in range(1, n + 1))
+
+
+def _publish(n):
+    return "|".join("send_%d" % i for i in range(1, n + 1))
 
 
 def build_choose(n, k, boxed=True):
-    votes = [_vote(i, k) for i in range(1, n + 1)]
-    if boxed:
-        votes = [("box", v) for v in votes]
-    return _fold("par", votes)
+    return terms.parse_term(_choose(n, k, boxed))
 
 
 def build_publish(n):
-    return _fold("par", [("atom", "send_%d" % i) for i in range(1, n + 1)])
+    return terms.parse_term(_publish(n))
 
 
 def build_voting(n, k, boxed=True):
-    return ("seq", build_choose(n, k, boxed), build_publish(n))
+    return terms.parse_term("(%s);(%s)" % (_choose(n, k, boxed),
+                                          _publish(n)))
 
 
 def voting_conflict_formula(j):
-    r = ("atom", "read_%d" % j)
-    w = ("atom", "write_%d" % j)
-    return ("ctx", ("seqthen", ("parnext", r, r), ("parnext", w, w)))
+    return logic.parse_formula(
+        "<>((read_%d||read_%d)|>(write_%d||write_%d))" % (j, j, j, j))
+
+
+def _any(atoms):
+    """The disjunction of the atoms, in parentheses."""
+    return "(%s)" % "\\/".join(atoms)
 
 
 def voting_seqsep_formula(n, k):
-    sends = _fold("or", [("atom", "send_%d" % i) for i in range(1, n + 1)])
-    chooses = _fold("or", [("atom", "choose_%d_%d" % (i, j))
-                           for i in range(1, n + 1)
-                           for j in range(1, k + 1)])
-    return ("seqthen", ("ctx", ("neg", sends)), ("ctx", ("neg", chooses)))
+    sends = _any("send_%d" % i for i in range(1, n + 1))
+    chooses = _any("choose_%d_%d" % (i, j) for i in range(1, n + 1)
+                   for j in range(1, k + 1))
+    return logic.parse_formula("<>~%s |> <>~%s" % (sends, chooses))
 
 
 def voting_votethensend_formula(n, k):
-    parts = []
-    for i in range(1, n + 1):
-        fchoose = _fold("or", [("atom", "choose_%d_%d" % (i, j))
-                               for j in range(1, k + 1)])
-        parts.append(("seqthen", fchoose, ("atom", "send_%d" % i)))
-    return ("ctx", _fold("parnext", parts))
+    return logic.parse_formula("<>(%s)" % "||".join(
+        "%s|>send_%d" % (_any("choose_%d_%d" % (i, j)
+                              for j in range(1, k + 1)), i)
+        for i in range(1, n + 1)))
 
 
 def voting_unique_votes_formula(k):
-    disjuncts = []
-    for j in range(1, k + 1):
-        for j2 in range(1, k + 1):
-            pair = ("parnext", ("atom", "write_%d" % j),
-                    ("atom", "write_%d" % j2))
-            disjuncts.append(("ctx", ("boxmod", ("ctx", pair))))
-    return _fold("or", disjuncts)
+    return logic.parse_formula("\\/".join(
+        "<>[<>(write_%d||write_%d)]" % (j, j2)
+        for j in range(1, k + 1) for j2 in range(1, k + 1)))
+
+
+def _writes(k):
+    return _any("write_%d" % j for j in range(1, k + 1))
 
 
 def voting_write_formula(k):
-    return _fold("or", [("atom", "write_%d" % j) for j in range(1, k + 1)])
+    return logic.parse_formula(_writes(k))
 
 
 def voting_frame_phi(k):
     # a non-empty pomset with no box containing a write
-    w = voting_write_formula(k)
-    return ("neg", ("or", logic.EMP, ("ctx", ("boxmod", ("ctx", w)))))
+    return logic.parse_formula("~(emp \\/ <>[<>%s])" % _writes(k))
 
 
 def voting_frame_psi(k):
-    w = voting_write_formula(k)
-    return ("ctx", ("seqthen", w, w))
+    return logic.parse_formula("<>(%s|>%s)" % (_writes(k), _writes(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +280,7 @@ def build_parser():
 
     q = sub.add_parser("examples", help="run a built-in case study")
     q.add_argument("name", choices=("counter", "voting"))
-    q.add_argument("--voters", type=_at_least(1), default=2)
+    q.add_argument("--voters", type=_at_least(2), default=2)
     q.add_argument("--counters", type=_at_least(1), default=2)
 
     q = sub.add_parser("fuzz", help="differential engine-vs-oracle fuzzing")

@@ -581,10 +581,10 @@ def transitive_reduction(P):
     return red
 
 
-def to_dot(P, name="poset"):
+def to_dot(P):
     """DOT export: covering edges, boxes as clusters when the box family
     is laminar; overlapping boxes degrade to dashed note nodes."""
-    lines = ["digraph %s {" % name, "  rankdir=LR;"]
+    lines = ["digraph poset {", "  rankdir=LR;"]
     boxes = sorted(P.boxes, key=lambda b: (-len(b), sorted(b)))
     clusters = []  # laminar subfamily
     overlapping = []

@@ -5,17 +5,19 @@ slow reference checks that tests compare the library against."""
 import itertools
 import random
 
-from . import posets, terms, logic
-from .posets import Poset
+from . import posets, logic
+
+
+# gen_poset tries this many times to add a box
+_BOX_ATTEMPTS = 3
 
 
 class GenConfig:
-    def __init__(self, max_events=4, max_box_attempts=3, alphabet_size=3,
-                 term_depth=3, formula_depth=3, seed=0):
-        assert max_events >= 0 and max_box_attempts >= 0
+    def __init__(self, max_events=4, alphabet_size=3, term_depth=3,
+                 formula_depth=3, seed=0):
+        assert max_events >= 0
         assert alphabet_size >= 1 and term_depth >= 0 and formula_depth >= 0
         self.max_events = max_events
-        self.max_box_attempts = max_box_attempts
         self.alphabet_size = alphabet_size
         self.term_depth = term_depth
         self.formula_depth = formula_depth
@@ -38,7 +40,7 @@ def gen_poset(cfg, rng=None):
             if rng.random() < 0.4:
                 edges.append((i, j))
     boxes = []
-    for _ in range(cfg.max_box_attempts):
+    for _ in range(_BOX_ATTEMPTS):
         if n == 0 or rng.random() < 0.5:
             continue
         if rng.random() < 0.7:
@@ -54,78 +56,51 @@ def gen_poset(cfg, rng=None):
     return posets.from_edges(labels, edges, boxes)
 
 
-def gen_sp_term(cfg, rng=None, depth=None):
-    rng = rng or cfg.rng()
-    depth = cfg.term_depth if depth is None else depth
+# The random grammars as rows of (cumulative weight, node kind): a draw k
+# in [0, 1) picks the first row with k < weight.  At depth 0 the node is
+# drawn uniformly from the constants, in row order, followed by an atom.
+_SP_TERM = ((0.25, "atom"), (0.3, "one"), (0.55, "seq"), (0.8, "par"),
+            (1, "box"))
+_TERM = ((0.2, "atom"), (0.25, "one"), (0.3, "zero"), (0.5, "seq"),
+         (0.7, "par"), (0.85, "join"), (1, "box"))
+_FORMULA = ((0.15, "atom"), (0.2, "emp"), (0.3, "and"), (0.4, "or"),
+            (0.5, "neg"), (0.65, "seqthen"), (0.8, "parnext"),
+            (0.9, "boxmod"), (1, "ctx"))
+_ARITY = {"atom": 0, "one": 0, "zero": 0, "emp": 0,
+          "box": 1, "neg": 1, "boxmod": 1, "ctx": 1,
+          "seq": 2, "par": 2, "join": 2,
+          "and": 2, "or": 2, "seqthen": 2, "parnext": 2}
+
+
+def _walk(rows, cfg, rng, depth):
     if depth <= 0:
-        return rng.choice([terms.ONE, ("atom", rng.choice(cfg.alphabet()))])
+        # seeded streams draw the atom's label before choosing the leaf
+        atom = ("atom", rng.choice(cfg.alphabet()))
+        return rng.choice([(kind,) for _, kind in rows
+                           if _ARITY[kind] == 0 and kind != "atom"] + [atom])
     k = rng.random()
-    if k < 0.25:
+    kind = next(kind for weight, kind in rows if k < weight)
+    if kind == "atom":
         return ("atom", rng.choice(cfg.alphabet()))
-    if k < 0.3:
-        return terms.ONE
-    if k < 0.55:
-        return ("seq", gen_sp_term(cfg, rng, depth - 1),
-                gen_sp_term(cfg, rng, depth - 1))
-    if k < 0.8:
-        return ("par", gen_sp_term(cfg, rng, depth - 1),
-                gen_sp_term(cfg, rng, depth - 1))
-    return ("box", gen_sp_term(cfg, rng, depth - 1))
+    return (kind,) + tuple(_walk(rows, cfg, rng, depth - 1)
+                           for _ in range(_ARITY[kind]))
+
+
+def gen_sp_term(cfg, rng=None, depth=None):
+    depth = cfg.term_depth if depth is None else depth
+    return _walk(_SP_TERM, cfg, rng or cfg.rng(), depth)
 
 
 def gen_term(cfg, rng=None, depth=None):
-    rng = rng or cfg.rng()
     depth = cfg.term_depth if depth is None else depth
-    if depth <= 0:
-        return rng.choice([terms.ONE, terms.ZERO,
-                           ("atom", rng.choice(cfg.alphabet()))])
-    k = rng.random()
-    if k < 0.2:
-        return ("atom", rng.choice(cfg.alphabet()))
-    if k < 0.25:
-        return terms.ONE
-    if k < 0.3:
-        return terms.ZERO
-    if k < 0.5:
-        return ("seq", gen_term(cfg, rng, depth - 1),
-                gen_term(cfg, rng, depth - 1))
-    if k < 0.7:
-        return ("par", gen_term(cfg, rng, depth - 1),
-                gen_term(cfg, rng, depth - 1))
-    if k < 0.85:
-        return ("join", gen_term(cfg, rng, depth - 1),
-                gen_term(cfg, rng, depth - 1))
-    return ("box", gen_term(cfg, rng, depth - 1))
+    return _walk(_TERM, cfg, rng or cfg.rng(), depth)
 
 
 def gen_formula(cfg, positive=False, rng=None, depth=None):
-    rng = rng or cfg.rng()
+    """A random formula; a positive one has no negation."""
     depth = cfg.formula_depth if depth is None else depth
-    if depth <= 0:
-        return rng.choice([logic.EMP,
-                           ("atom", rng.choice(cfg.alphabet()))])
-    k = rng.random()
-    if k < 0.15:
-        return ("atom", rng.choice(cfg.alphabet()))
-    if k < 0.2:
-        return logic.EMP
-    if k < 0.3:
-        return ("and", gen_formula(cfg, positive, rng, depth - 1),
-                gen_formula(cfg, positive, rng, depth - 1))
-    if k < 0.4:
-        return ("or", gen_formula(cfg, positive, rng, depth - 1),
-                gen_formula(cfg, positive, rng, depth - 1))
-    if k < 0.5 and not positive:
-        return ("neg", gen_formula(cfg, positive, rng, depth - 1))
-    if k < 0.65:
-        return ("seqthen", gen_formula(cfg, positive, rng, depth - 1),
-                gen_formula(cfg, positive, rng, depth - 1))
-    if k < 0.8:
-        return ("parnext", gen_formula(cfg, positive, rng, depth - 1),
-                gen_formula(cfg, positive, rng, depth - 1))
-    if k < 0.9:
-        return ("boxmod", gen_formula(cfg, positive, rng, depth - 1))
-    return ("ctx", gen_formula(cfg, positive, rng, depth - 1))
+    rows = [row for row in _FORMULA if not (positive and row[1] == "neg")]
+    return _walk(rows, cfg, rng or cfg.rng(), depth)
 
 
 class Discrepancy:

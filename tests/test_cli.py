@@ -1,13 +1,14 @@
 """Tests for the command line interface: exit codes, JSON output, file
 indirection, and the built-in case studies."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pombox import cli, posets, terms
+from pombox import cli, logic, posets, terms
 
 
 def run_cli(*argv):
@@ -126,6 +127,7 @@ def test_internal_error_exits_three(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["examples", "voting", "--voters", "0"],
     ["examples", "voting", "--counters", "0"],
+    ["examples", "voting", "--voters", "1"],
     ["fuzz", "--max-events", "-1"],
     ["fuzz", "--formula-depth", "-1"],
     ["fuzz", "--cases", "-1"],
@@ -261,3 +263,34 @@ def test_counter_builders():
     run = terms.interp_sp(cli.build_counter_faulty_run())
     assert run.n == 8
     assert posets.subsumed_by(run, terms.interp_sp(cli.build_counter(False)))
+
+
+def _builders_text():
+    """Every case-study builder's output as text, for voters and counters
+    in 1..3, boxed and unboxed."""
+    rt, rf = terms.render_term, logic.render_formula
+    lines = [rt(cli.build_counter(True)), rt(cli.build_counter(False)),
+             rt(cli.build_counter_faulty_run()),
+             rf(cli.counter_conflict_formula())]
+    for n in range(1, 4):
+        lines.append(rt(cli.build_publish(n)))
+        for k in range(1, 4):
+            for boxed in (True, False):
+                lines.append(rt(cli.build_choose(n, k, boxed)))
+                lines.append(rt(cli.build_voting(n, k, boxed)))
+            lines.append(rf(cli.voting_seqsep_formula(n, k)))
+            lines.append(rf(cli.voting_votethensend_formula(n, k)))
+    for k in range(1, 4):
+        lines.extend(rf(build(k)) for build in (
+            cli.voting_conflict_formula, cli.voting_unique_votes_formula,
+            cli.voting_write_formula, cli.voting_frame_phi,
+            cli.voting_frame_psi))
+    return "\n".join(lines)
+
+
+def test_case_study_builders_are_pinned():
+    # rendering is injective (parse(render(t)) == t), so equal text means
+    # equal ASTs: the case studies' programs and formulas stay fixed
+    digest = hashlib.sha256(_builders_text().encode()).hexdigest()
+    assert digest == (
+        "e9d8ee6472a0e73c7bab0242336dac66a81ab3710420baaf327f23354ec13c81")

@@ -18,8 +18,8 @@ import functools
 
 from . import terms
 from .posets import (Poset, unit, atom, seq, par, iso, subsumed_by,
-                     weakenings, strengthenings, new_box_candidates,
-                     subsets, cuts, split_ok, _is_id_list)
+                     weakenings, strengthenings, subsets, cuts, split_ok,
+                     _is_id_list)
 from .terms import FragmentError
 
 EMP = ("emp",)
@@ -314,7 +314,8 @@ def _witness_space(P, run, with_boxes):
         truncated = False
     else:
         space = strengthenings(P, run.cap if with_boxes else 0)
-        truncated = with_boxes and len(new_box_candidates(P)) > run.cap
+        # boxes are distinct and non-empty: the rest are new candidates
+        truncated = with_boxes and 2 ** P.n - 1 - len(P.boxes) > run.cap
     seen = {}
     raw = 0
     for W in space:

@@ -93,21 +93,6 @@ class Poset:
     def leq(self, a, b):
         return a == b or (a, b) in self.order
 
-    def below_counts(self):
-        below = [0] * self.n
-        above = [0] * self.n
-        for (a, b) in self.order:
-            below[b] += 1
-            above[a] += 1
-        return below, above
-
-    def box_counts(self):
-        cnt = [0] * self.n
-        for box in self.boxes:
-            for e in box:
-                cnt[e] += 1
-        return cnt
-
     def has_full_box(self):
         return self.n > 0 and frozenset(range(self.n)) in self.boxes
 
@@ -227,14 +212,13 @@ def cuts(P, left=None, right=None):
     from per-label combinations, so cuts of other labels are never
     visited."""
     if left is None and right is None:
-        yield from subsets(P.n)
-        return
+        return subsets(P.n)
     total = collections.Counter(P.labels)
     by_label = {}
     for e, label in enumerate(P.labels):
         by_label.setdefault(label, []).append(e)
-    # the label counts of the side that is built, per size of A
-    built = {}
+    all_ev = frozenset(range(P.n))
+    found = []
     for labels in (left if left is not None else right):
         counts = collections.Counter(labels)
         if counts - total:
@@ -242,21 +226,13 @@ def cuts(P, left=None, right=None):
         if left is not None and right is not None and \
                 tuple(sorted((total - counts).elements())) not in right:
             continue
-        size = len(labels) if left is not None else P.n - len(labels)
-        built.setdefault(size, []).append(counts)
-    all_ev = frozenset(range(P.n))
-    for size in sorted(built):
-        found = []
-        for counts in built[size]:
-            for parts in itertools.product(
-                    *[itertools.combinations(by_label[label], k)
-                      for label, k in counts.items()]):
-                side = frozenset(itertools.chain.from_iterable(parts))
-                found.append(tuple(sorted(
-                    side if left is not None else all_ev - side)))
-        found.sort()
-        for A in found:
-            yield frozenset(A)
+        for parts in itertools.product(
+                *[itertools.combinations(by_label[label], k)
+                  for label, k in counts.items()]):
+            side = frozenset(itertools.chain.from_iterable(parts))
+            found.append(side if left is not None else all_ev - side)
+    found.sort(key=lambda A: (len(A), sorted(A)))
+    return found
 
 
 def _nested(P, A):
@@ -299,6 +275,19 @@ def split_ok(P, A, comp, kind, rel="iso"):
 # homomorphisms
 
 
+def _degrees(P):
+    """Per event: how many events lie below it, how many above it, and
+    how many boxes contain it."""
+    below, above, boxes = [0] * P.n, [0] * P.n, [0] * P.n
+    for (a, b) in P.order:
+        below[b] += 1
+        above[a] += 1
+    for box in P.boxes:
+        for e in box:
+            boxes[e] += 1
+    return below, above, boxes
+
+
 def find_homomorphism(src, tgt):
     """Search for a subsumption map: a label-respecting bijection src ->
     tgt mapping order into order and boxes into boxes.  Returns the map
@@ -308,10 +297,8 @@ def find_homomorphism(src, tgt):
     if sorted(src.labels) != sorted(tgt.labels):
         return None
 
-    s_below, s_above = src.below_counts()
-    t_below, t_above = tgt.below_counts()
-    s_boxc = src.box_counts()
-    t_boxc = tgt.box_counts()
+    s_below, s_above, s_boxc = _degrees(src)
+    t_below, t_above, t_boxc = _degrees(tgt)
 
     def compatible(e, t):
         return (src.labels[e] == tgt.labels[t]
@@ -412,14 +399,10 @@ def _order_extensions(P):
                 yield rel
 
 
-def new_box_candidates(P):
-    return [A for A in subsets(P.n) if A and A not in P.boxes]
-
-
 def strengthenings(P, max_new_boxes):
     """Posets with more order and up to max_new_boxes extra boxes; every
     yielded Q is subsumed by P."""
-    cands = new_box_candidates(P)
+    cands = [A for A in subsets(P.n) if A and A not in P.boxes]
     for rel in _order_extensions(P):
         for k in range(0, max_new_boxes + 1):
             for extra in itertools.combinations(cands, k):
@@ -547,19 +530,18 @@ def from_json(data):
     except (TypeError, KeyError):
         raise PosetError("poset JSON needs an 'events' list")
     try:
-        labels = {ev["id"]: ev["label"] for ev in events}
+        ids = [ev["id"] for ev in events]
+        labels = [ev["label"] for ev in events]
     except (TypeError, KeyError):
         raise PosetError("every poset JSON event needs an 'id' and a 'label'")
-    if len(labels) != len(events):
-        raise PosetError("duplicate event ids")
-    if set(labels) != set(range(len(labels))):
-        raise PosetError("event ids must be exactly 0..n-1")
+    if not _is_id_list(ids) or sorted(ids) != list(range(len(ids))):
+        raise PosetError("event ids must be exactly the ints 0..n-1")
     if not isinstance(order, list) or not all(
             _is_id_list(p) and len(p) == 2 for p in order):
         raise PosetError("poset JSON 'order' must be a list of [id, id] pairs")
     if not isinstance(boxes, list) or not all(map(_is_id_list, boxes)):
         raise PosetError("poset JSON 'boxes' must be a list of id lists")
-    labels = [labels[e] for e in range(len(labels))]
+    labels = [label for _, label in sorted(zip(ids, labels))]
     return from_edges(labels, order, boxes)
 
 

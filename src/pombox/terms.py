@@ -194,23 +194,18 @@ def is_sp(t):
 
 
 def interp_sp(t):
-    """Interpret a series-parallel term as a single poset.  The left
-    operand of seq/par always occupies the lower event ids."""
-    kind = t[0]
-    if kind == "one":
-        return unit()
-    if kind == "atom":
-        return atom(t[1])
-    if kind == "seq":
-        return seq(interp_sp(t[1]), interp_sp(t[2]))
-    if kind == "par":
-        return par(interp_sp(t[1]), interp_sp(t[2]))
-    if kind == "box":
-        return boxed(interp_sp(t[1]))
-    raise FragmentError("interp_sp: not a series-parallel term: %r" % (kind,))
+    """The one poset of a series-parallel term, numbered as interp numbers
+    it: the left operand of seq/par occupies the lower event ids."""
+    if not is_sp(t):
+        raise FragmentError("a series-parallel term is needed: no 0 and no +")
+    return interp(t)[0]
 
 
 def dedup(ps):
+    """ps without isomorphic repeats, in canonical-key order; fewer than
+    two posets are returned as given, with no key computed."""
+    if len(ps) < 2:
+        return ps
     seen = {}
     for p in ps:
         seen.setdefault(p.key(), p)

@@ -83,15 +83,29 @@ EVENT_A = [{"id": 0, "label": "a"}]
     {"events": EVENT_A, "order": [[0]]},
     {"events": [{"id": 0, "label": "a b"}]},
     {"events": [{"id": 0, "label": "emp"}]},
+    {"events": EVENT_A + [{"id": True, "label": "b"}]},
+    {"events": [{"id": 0.0, "label": "a"}, {"id": 1, "label": "b"}]},
+    {"events": [{"id": False, "label": "a"}, {"id": 1, "label": "b"}]},
 ], ids=["no-label", "no-id", "empty-label", "order-not-pair",
         "box-not-list", "order-short-pair", "label-not-identifier",
-        "label-emp"])
+        "label-emp", "id-true", "id-float", "id-false"])
 def test_malformed_poset_json_exits_two(tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     r = run_cli("mc", "--formula", "a", "--poset-json", str(path))
     assert r.returncode == 2 and "error" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "a+b"],
+    ["factorize", "a+b", "a"],
+], ids=["synth", "factorize"])
+def test_non_sp_term_exits_two_with_the_rule(argv):
+    # commands that need one poset name the fragment they accept
+    r = run_cli(*argv)
+    assert r.returncode == 2 and "no 0 and no +" in r.stderr
+    assert "interp_sp" not in r.stderr and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("argv", [

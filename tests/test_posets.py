@@ -414,6 +414,11 @@ def test_from_json_rejects_bad_documents():
               "order": [[0, 1], [1, 0]], "boxes": []}
     with pytest.raises(PosetError):
         from_json(cyclic)
+    # ids must be ints: True == 1 and 0.0 == 0 would pass a range check
+    for ids in ([0, True], [0.0, 1], [False, 1], [[0], 1]):
+        doc = {"events": [{"id": i, "label": "a"} for i in ids]}
+        with pytest.raises(PosetError, match="event ids"):
+            from_json(doc)
 
 
 def test_to_dot_nested_boxes_become_clusters():

@@ -427,12 +427,13 @@ def _oracle_raw(run, P, f):
 
 
 def sat_set(X, f, rel="iso", quant="all"):
+    _check_query(f, rel)
     if isinstance(X, tuple):
         X = terms.interp(X)
     if quant == "all":
-        return all(sat_bool(P, f, rel) for P in X)
+        return all(_sat(P, f, rel) for P in X)
     if quant == "some":
-        return any(sat_bool(P, f, rel) for P in X)
+        return any(_sat(P, f, rel) for P in X)
     raise ValueError("quantifier must be all or some")
 
 
@@ -478,25 +479,27 @@ def independent(P, f, rel="iso"):
     return not sat_bool(P, ("ctx", ("boxmod", f)), rel)
 
 
+# frame shape: how P and the frame Q compose, the clause, if Q comes first
+_FRAMES = {"par": (par, "parnext", False),
+           "seq_suffix": (seq, "seqthen", False),
+           "seq_prefix": (seq, "seqthen", True)}
+
+
+def _frame(shape):
+    if shape not in _FRAMES:
+        raise ValueError("shape must be par, seq_suffix or seq_prefix")
+    return _FRAMES[shape]
+
+
 def compose_frame(P, Q, shape):
-    if shape == "par":
-        return par(P, Q)
-    if shape == "seq_suffix":
-        return seq(P, Q)
-    if shape == "seq_prefix":
-        return seq(Q, P)
-    raise ValueError("shape must be par, seq_suffix or seq_prefix")
+    compose, _, first = _frame(shape)
+    return compose(Q, P) if first else compose(P, Q)
 
 
 def frame_formula(psi, f, shape):
+    _, kind, first = _frame(shape)
     boxf = ("boxmod", f)
-    if shape == "par":
-        return ("parnext", psi, boxf)
-    if shape == "seq_suffix":
-        return ("seqthen", psi, boxf)
-    if shape == "seq_prefix":
-        return ("seqthen", boxf, psi)
-    raise ValueError("shape must be par, seq_suffix or seq_prefix")
+    return (kind, boxf, psi) if first else (kind, psi, boxf)
 
 
 def frame_check(P, Q, f, psi, shape, rel="iso"):

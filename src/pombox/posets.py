@@ -271,6 +271,28 @@ def split_ok(P, A, comp, kind, rel="iso"):
     raise ValueError("bad split kind %r" % (kind,))
 
 
+def pieces(P, parallel):
+    """P's events in the finest split that split_ok allows under iso: its
+    legal cuts are the unions of parallel pieces, or of initial sequential
+    pieces.  Parallel pieces are the classes of events linked by order or
+    a shared box, smallest first, then by sorted events; sequential ones
+    are the runs between the legal prefixes of a linear extension, in
+    order.  With no legal split there is one piece."""
+    if parallel:
+        piece = {e: frozenset([e]) for e in range(P.n)}
+        for linked in itertools.chain(P.order, P.boxes):
+            classes = {piece[e] for e in linked}
+            if len(classes) > 1:
+                joined = frozenset().union(*classes)
+                piece.update(dict.fromkeys(joined, joined))
+        return sorted(set(piece.values()), key=lambda A: (len(A), sorted(A)))
+    # sorting by how many events lie below gives a linear extension
+    ext = sorted(range(P.n), key=_degrees(P)[0].__getitem__)
+    ends = [i for i in range(1, P.n + 1) if i == P.n or split_ok(
+        P, frozenset(ext[:i]), frozenset(ext[i:]), "seqthen")]
+    return [frozenset(ext[i:j]) for i, j in zip([0] + ends, ends)]
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 

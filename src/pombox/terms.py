@@ -7,10 +7,10 @@ Term AST nodes are plain tuples:
   ("seq", l, r) ("par", l, r) ("join", l, r) ("box", t)
 """
 
+import functools
 import itertools
 
-from .posets import (unit, atom, seq, par, boxed, subsumed_by, subsets,
-                     split_ok)
+from .posets import unit, atom, seq, par, boxed, subsumed_by, pieces
 
 ZERO = ("zero",)
 ONE = ("one",)
@@ -301,8 +301,8 @@ def sp_check(P):
 
 
 def synthesize_term(P):
-    """Rebuild a series-parallel term denoting P, or None when P contains
-    a forbidden pattern."""
+    """Rebuild a series-parallel term denoting P from its sequential pieces,
+    else its parallel ones, or None when P contains a forbidden pattern."""
     if P.n == 0:
         return ONE
     if P.has_full_box():
@@ -312,17 +312,13 @@ def synthesize_term(P):
         return ("box", inner)
     if P.n == 1:
         return ("atom", P.labels[0])
-    all_ev = frozenset(range(P.n))
-    for kind, node in (("seqthen", "seq"), ("parnext", "par")):
-        for A in subsets(P.n):
-            comp = all_ev - A
-            if not A or not comp or not split_ok(P, A, comp, kind):
-                continue
-            l = synthesize_term(P.restrict(A))
-            r = synthesize_term(P.restrict(comp))
-            if l is None or r is None:
+    for node, parallel in (("seq", False), ("par", True)):
+        parts = pieces(P, parallel)
+        if len(parts) > 1:
+            subs = [synthesize_term(P.restrict(A)) for A in parts]
+            if None in subs:
                 return None
-            return (node, l, r)
+            return functools.reduce(lambda r, l: (node, l, r), reversed(subs))
     return None
 
 

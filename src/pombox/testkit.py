@@ -5,7 +5,7 @@ slow reference checks that tests compare the library against."""
 import itertools
 import random
 
-from . import posets, logic
+from . import posets, logic, terms
 
 
 # gen_poset tries this many times to add a box
@@ -345,4 +345,31 @@ def choose_reference(P, f, rel):
                 logic._sat(P.restrict(A), f[1], rel) and (
                     kind == "ctx" or logic._sat(P.restrict(comp), f[2], rel)):
             return A
+    return None
+
+
+def synthesize_term_reference(P):
+    """Term synthesis by search: the first legal |> split over every
+    subset, else the first legal || split, each side synthesized in turn.
+    The reference for terms.synthesize_term, which reads posets.pieces."""
+    if P.n == 0:
+        return terms.ONE
+    if P.has_full_box():
+        inner = synthesize_term_reference(P.without_full_box())
+        if inner is None:
+            return None
+        return ("box", inner)
+    if P.n == 1:
+        return ("atom", P.labels[0])
+    all_ev = frozenset(range(P.n))
+    for kind, node in (("seqthen", "seq"), ("parnext", "par")):
+        for A in posets.subsets(P.n):
+            comp = all_ev - A
+            if not A or not comp or not posets.split_ok(P, A, comp, kind):
+                continue
+            l = synthesize_term_reference(P.restrict(A))
+            r = synthesize_term_reference(P.restrict(comp))
+            if l is None or r is None:
+                return None
+            return (node, l, r)
     return None

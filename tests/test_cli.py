@@ -108,6 +108,14 @@ def test_non_sp_term_exits_two_with_the_rule(argv):
     assert "interp_sp" not in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("term", ["a", "0", "0+0"])
+def test_negation_outside_iso_exits_two(term):
+    # the query is checked before quantifying, also over no posets at all
+    r = run_cli("mc", "--relation", "sub", "--formula", "~a", term)
+    assert r.returncode == 2 and "only available under iso" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "--formula", "emp", "emp"],
     ["eq", "--system", "bsp", "emp", "emp"],

@@ -92,6 +92,8 @@ def test_negation_rejected_outside_iso():
             sat_bool(atom("b"), f, rel)
         with pytest.raises(FragmentError):
             sat_oracle(atom("b"), f, rel)
+        with pytest.raises(FragmentError):
+            sat_set([], f, rel)
 
 
 def test_seqthen_and_parnext_under_iso():
@@ -461,6 +463,8 @@ def test_sat_set_quantifiers():
     assert sat_set(e, ("or", ("atom", "a"), ("atom", "b")), "iso", "all")
     with pytest.raises(ValueError):
         sat_set(e, EMP, "iso", "most")
+    with pytest.raises(ValueError):
+        sat_set([], ("atom", "a"), "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +509,14 @@ def test_frame_shapes_compose_correctly():
     assert iso(compose_frame(P, Q, "seq_prefix"), seq(Q, P))
     psi, f = ("atom", "a"), ("atom", "b")
     assert frame_formula(psi, f, "par") == ("parnext", psi, ("boxmod", f))
+    assert frame_formula(psi, f, "seq_suffix") == ("seqthen", psi,
+                                                   ("boxmod", f))
     assert frame_formula(psi, f, "seq_prefix") == ("seqthen", ("boxmod", f),
                                                    psi)
     with pytest.raises(ValueError):
         compose_frame(P, Q, "diagonal")
+    with pytest.raises(ValueError):
+        frame_formula(psi, f, "diagonal")
 
 
 # ---------------------------------------------------------------------------

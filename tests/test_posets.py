@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pombox import terms, testkit
 from pombox.posets import (
     Poset, PosetError, unit, atom, seq, par, boxed, from_edges, iso,
-    subsumed_by, find_homomorphism, split_ok, subsets, cuts,
+    subsumed_by, find_homomorphism, split_ok, pieces, subsets, cuts,
     factorize_subsumption, weakenings, strengthenings, canonical_key,
     transitive_closure, transitive_reduction, from_json, to_json, to_dot,
 )
@@ -287,6 +287,29 @@ def test_split_ok_relaxations_match_classify_subset_flags():
             for (kind, rel), want in expected.items():
                 assert split_ok(P, A, comp, kind, rel) == want, \
                     (P, A, kind, rel)
+
+
+def test_pieces_are_the_finest_legal_split():
+    # gen_poset draws straddling and overlapping boxes too
+    cfg = make_cfg(16, max_events=6)
+    grng = cfg.rng()
+    for _ in range(300):
+        P = testkit.gen_poset(cfg, grng)
+        all_ev = frozenset(range(P.n))
+        for parallel, kind in ((True, "parnext"), (False, "seqthen")):
+            ps = pieces(P, parallel)
+            assert all(ps) and sorted(e for A in ps for e in A) == \
+                list(range(P.n)), (P, parallel)
+            if parallel:
+                assert ps == sorted(ps, key=lambda A: (len(A), sorted(A)))
+                unions = {frozenset().union(*c) for k in range(1, len(ps))
+                          for c in itertools.combinations(ps, k)}
+            else:
+                unions = {frozenset().union(*ps[:k])
+                          for k in range(1, len(ps))}
+            legal = {A for A in subsets(P.n) if A and A != all_ev
+                     and split_ok(P, A, all_ev - A, kind)}
+            assert legal == unions, (P, kind)
 
 
 def test_subsets_are_lazy_smallest_first_and_complete():

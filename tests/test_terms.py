@@ -3,6 +3,8 @@ series-parallel recognition/synthesis, and the decision procedures."""
 
 import hashlib
 import json
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +269,38 @@ def test_synthesis_fails_exactly_on_pattern_posets():
             assert t is not None and iso(interp_sp(t), P)
         else:
             assert t is None and testkit.pattern_holds(P, w)
+
+
+def test_synthesis_matches_the_search_reference():
+    cfg = testkit.GenConfig(seed=17, max_events=6, term_depth=6)
+    rng = cfg.rng()
+    found = set()
+    for _ in range(300):
+        for P in (testkit.gen_poset(cfg, rng),
+                  interp_sp(testkit.gen_sp_term(cfg, rng))):
+            if P.n > 14:
+                continue
+            t = synthesize_term(P)
+            assert t == testkit.synthesize_term_reference(P), P
+            found.add(t is None)
+    assert found == {True, False}
+
+
+def test_synthesis_is_polynomial():
+    # ten parallel pieces need no search over 2**20 subsets, and a chain
+    # keeps no restriction of its rest alive per piece
+    P = interp_sp(parse_term("|".join(["(a;b)"] * 10)))
+    start = time.perf_counter()
+    assert synthesize_term(P) is not None
+    assert time.perf_counter() - start < 0.5
+    chain = interp_sp(parse_term(";".join(["a"] * 150)))
+    tracemalloc.start()
+    try:
+        assert synthesize_term(chain) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ construction.
 import collections
 import itertools
 import json
+import math
 
 
 class PosetError(ValueError):
@@ -42,7 +43,8 @@ def is_transitively_closed(pairs):
 
 
 # canonical keys are expensive to compute and the same structures recur
-# constantly during witness enumeration, so keys are shared globally
+# constantly during witness enumeration, so keys are shared globally; a
+# key read from a poset's pieces finds theirs here too
 _KEY_CACHE = {}
 _KEY_CACHE_LIMIT = 500000
 
@@ -286,10 +288,24 @@ def pieces(P, parallel):
                 joined = frozenset().union(*classes)
                 piece.update(dict.fromkeys(joined, joined))
         return sorted(set(piece.values()), key=lambda A: (len(A), sorted(A)))
-    # sorting by how many events lie below gives a linear extension
-    ext = sorted(range(P.n), key=_degrees(P)[0].__getitem__)
-    ends = [i for i in range(1, P.n + 1) if i == P.n or split_ok(
-        P, frozenset(ext[:i]), frozenset(ext[i:]), "seqthen")]
+    # sorting by how many events lie below gives a linear extension, so
+    # moving x into the prefix adds above[x] order pairs across the cut
+    # and removes below[x]; the first i events precede the rest when all
+    # i * (n - i) pairs cross, and are nested when no box straddles them
+    below, above, _ = _degrees(P)
+    ext = sorted(range(P.n), key=below.__getitem__)
+    pos = {e: i for i, e in enumerate(ext)}
+    straddles = [0] * (P.n + 1)
+    for box in P.boxes:
+        spots = [pos[e] for e in box]
+        straddles[min(spots) + 1] += 1
+        straddles[max(spots) + 1] -= 1
+    ends, cross, straddling = [], 0, 0
+    for i, x in enumerate(ext, 1):
+        cross += above[x] - below[x]
+        straddling += straddles[i]
+        if cross == i * (P.n - i) and not straddling:
+            ends.append(i)
     return [frozenset(ext[i:j]) for i, j in zip([0] + ends, ends)]
 
 
@@ -474,13 +490,6 @@ def _twin_classes(P):
     return {e: cls for cls in classes.values() for e in cls}
 
 
-def _twin_orders(events, twins):
-    """The orders of events that keep each class of twins in increasing
-    event order: one per distinct sequence of classes, since orders that
-    differ only among twins give the same encoding."""
-    return _interleavings([twins[e] for e in events if twins[e][0] == e])
-
-
 def _interleavings(classes):
     # every merge of the lists in classes that keeps each list in order
     if not any(classes):
@@ -493,23 +502,59 @@ def _interleavings(classes):
                 yield (cls[0],) + tail
 
 
+def _merges(classes):
+    """How many merges _interleavings(classes) yields: the multinomial of
+    the class sizes."""
+    sizes = [len(cls) for cls in classes]
+    return math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
+
+
+def _split_key(P):
+    """P's key read from its full box, else its parallel pieces, else its
+    sequential pieces; None when P has no full box and is one piece both
+    ways."""
+    if P.has_full_box():
+        return ("box", P.without_full_box().key())
+    for parallel, tag in ((True, "par"), (False, "seq")):
+        ps = pieces(P, parallel)
+        if len(ps) > 1:
+            keys = [P.restrict(A).key() for A in ps]
+            return (tag, tuple(sorted(keys) if parallel else keys))
+    return None
+
+
 def canonical_key(P):
-    """P's canonical form (labels, order, boxes): P renumbered by the
-    least relabelling that keeps events in blocks of equal iso-invariant
-    signature, blocks in signature order, taken once per order of twins.
-    Equal keys mean isomorphic posets."""
+    """P's canonical key: equal keys mean isomorphic posets.
+
+    It is ("form",) + P's canonical form (labels, order, boxes): P
+    renumbered by the least relabelling that keeps events in blocks of
+    equal iso-invariant signature, blocks in signature order, taken once
+    per order of twins.  When that search would try more relabellings
+    than P has events, and P has a full box or more than one piece, the
+    key follows P's structure instead: ("box", the key of P without its
+    full box), else ("par", its parallel pieces' keys, sorted), else
+    ("seq", its sequential pieces' keys, in order).  Each choice depends
+    only on P's isomorphism class."""
     sigs = _event_signatures(P)
     groups = {}
     for e in range(P.n):
         groups.setdefault(sigs[e], []).append(e)
     sigs_sorted = sorted(groups)
-    order = list(P.order)
-    boxes = [tuple(box) for box in P.boxes]
     if len(groups) == P.n:
         orders = [[groups[s]] for s in sigs_sorted]
     else:
+        # orders that differ only among twins give the same encoding, so
+        # each signature class is ordered once per merge of its twins
         twins = _twin_classes(P)
-        orders = [_twin_orders(groups[s], twins) for s in sigs_sorted]
+        classes = [[twins[e] for e in groups[s] if twins[e][0] == e]
+                   for s in sigs_sorted]
+        if math.prod(map(_merges, classes)) > P.n:
+            split = _split_key(P)
+            if split is not None:
+                return split
+        orders = [_interleavings(cls) for cls in classes]
+    order = list(P.order)
+    boxes = [tuple(box) for box in P.boxes]
     best = None
     for combo in itertools.product(*orders):
         # new ids are assigned in blocks per signature class
@@ -521,7 +566,8 @@ def canonical_key(P):
         enc = (order_enc, boxes_enc)
         if best is None or enc < best:
             best = enc
-    return (tuple(s[0] for s in sigs_sorted for _ in groups[s]),) + best
+    return ("form", tuple(s[0] for s in sigs_sorted for _ in groups[s])) \
+        + best
 
 
 # ---------------------------------------------------------------------------

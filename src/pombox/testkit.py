@@ -311,7 +311,8 @@ def split_check(P, A, mode):
 
 def canonical_key_reference(P):
     """Brute-force minimum over every relabelling within the classes of
-    equal event signature, the reference for posets.canonical_key."""
+    equal event signature, the reference for posets.canonical_key: a key
+    tagged "form" carries this form after its tag."""
     sigs = posets._event_signatures(P)
     groups = {}
     for e in range(P.n):

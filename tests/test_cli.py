@@ -35,6 +35,18 @@ def test_eq_counts_events_per_label():
     assert r.returncode == 1 and r.stdout.strip() == "false"
 
 
+def test_eq_reorders_parallel_pieces():
+    r = run_cli("eq", "--system", "bsp", "(a;b)|[a;b]|(a;b)|[a;b]|(a;b)|[a;b]",
+                "[a;b]|[a;b]|[a;b]|(a;b)|(a;b)|(a;b)")
+    assert r.returncode == 0 and r.stdout.strip() == "true"
+
+
+def test_eq_tells_parallel_pieces_apart():
+    r = run_cli("eq", "--system", "bsp", "(a;b)|(a;b)|(a|b)",
+                "(a;b)|(a|b)|(a|b)")
+    assert r.returncode == 1 and r.stdout.strip() == "false"
+
+
 def test_leq_box_axiom():
     r = run_cli("leq", "--system", "cmb", "[a;b]", "a;b")
     assert r.returncode == 0

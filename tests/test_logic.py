@@ -392,12 +392,22 @@ def test_oracle_on_a_chain_under_rev_is_fast():
 
 
 def test_oracle_on_a_chain_under_sub_is_fast():
-    # the weakenings of a chain are mostly isolated events, twins whose
-    # relabellings canonical_key tries once
+    # the weakenings of a chain are mostly isolated events: twins, whose
+    # orders canonical_key's form search tries once, or parallel pieces
+    # that it keys one at a time
     chain = interp_sp(parse_term(";".join(["a"] * 10)))
     start = time.perf_counter()
     assert sat_oracle(chain, parse_formula("a|>b"), "sub") is not True
     assert time.perf_counter() - start < 5.0
+
+
+def test_query_on_parallel_copies_under_iso_is_fast():
+    # the relabellings of (a;b) six times in parallel number 6!·6!, but
+    # its key and its restrictions' keys follow the parallel pieces
+    P = interp_sp(parse_term("|".join(["(a;b)"] * 6)))
+    start = time.perf_counter()
+    assert sat_bool(P, parse_formula("<>((a||a)|>(b||b))"), "iso") is False
+    assert time.perf_counter() - start < 0.5
 
 
 def test_oracle_on_an_antichain_under_rev_returns():

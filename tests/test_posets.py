@@ -1,9 +1,11 @@
 """Tests for the poset layer: construction, homomorphisms, subsumption,
 weakenings/strengthenings, canonical keys, and serialization."""
 
+import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,10 +229,68 @@ def test_canonical_key_matches_the_brute_force_reference():
     cases += [terms.interp_sp(terms.parse_term(text)) for text in (
         "a|a|a|a|a|a|a", "(a|a|a);(b|b|b)", "[a|a]|[a|a]|b|b|b",
         "(a;b)|((a|a);b)", "(a;b)|((a|a|a);b)|((a|a);b)", "[a]|[a]|a|a")]
-    for P in cases:
-        want = testkit.canonical_key_reference(P)
-        assert canonical_key(P) == want, P
-        assert canonical_key(relabeled_copy(P, rng)) == want, P
+    keys = [canonical_key(P) for P in cases]
+    refs = [testkit.canonical_key_reference(P) for P in cases]
+    assert any(key[0] != "form" for key in keys)
+    for P, key, ref in zip(cases, keys, refs):
+        assert canonical_key(relabeled_copy(P, rng)) == key, P
+        if key[0] == "form":
+            assert key[1:] == ref, P
+    for i, j in itertools.combinations(range(len(cases)), 2):
+        assert (keys[i] == keys[j]) == (refs[i] == refs[j]), \
+            (cases[i], cases[j])
+
+
+def test_canonical_key_follows_boxes_and_pieces():
+    chunks = [terms.interp_sp(terms.parse_term(text))
+              for text in ("a;b", "[a;b]", "a|b", "[a]")]
+    cases = [functools.reduce(par, mix) for k in (4, 5, 6)
+             for mix in itertools.combinations_with_replacement(chunks, k)]
+    # a prime piece: no split applies to N itself
+    N = from_edges("abab", [(0, 1), (2, 1), (2, 3)], [])
+    for chunk in chunks:
+        for k in (2, 3):
+            copies = functools.reduce(par, [chunk] * k)
+            cases += [par(N, copies), seq(N, copies), seq(copies, N),
+                      boxed(par(N, copies)), par(boxed(N), copies),
+                      par(N, boxed(copies))]
+    keys = [canonical_key(P) for P in cases]
+    assert {key[0] for key in keys} == {"box", "par", "seq", "form"}
+    rng = random.Random(22)
+    for P, key in zip(cases, keys):
+        assert canonical_key(relabeled_copy(P, rng)) == key, P
+
+    # isomorphisms keep the numbers of order pairs and boxes, so only
+    # posets that agree on them need the exhaustive search
+    def counts(P):
+        return P.n, sorted(P.labels), len(P.order), len(P.boxes)
+
+    searched = 0
+    for (P, kp), (Q, kq) in itertools.combinations(zip(cases, keys), 2):
+        if counts(P) != counts(Q):
+            assert kp != kq, (P, Q)
+            continue
+        searched += 1
+        assert (kp == kq) == (
+            testkit.find_hom_reference(P, Q, testkit.ISO) is not None), \
+            (P, Q)
+    assert searched
+
+
+def test_canonical_key_is_fast_on_parallel_copies_and_deep_nesting():
+    P = terms.interp_sp(terms.parse_term("|".join(["(a;b)"] * 6)))
+    start = time.perf_counter()
+    canonical_key(P)
+    assert time.perf_counter() - start < 0.5
+    # c;(T|d) nested 200 times around (a;b)|(a;b): the canonical form
+    # tries only four relabellings, so the key need not descend the nesting
+    T = terms.interp_sp(terms.parse_term("(a;b)|(a;b)"))
+    for _ in range(200):
+        T = seq(atom("c"), par(T, atom("d")))
+    assert T.n == 404
+    start = time.perf_counter()
+    assert canonical_key(T)[0] == "form"
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def is_transitively_closed(pairs):
 
 # canonical keys are expensive to compute and the same structures recur
 # constantly during witness enumeration, so keys are shared globally; a
-# key read from a poset's pieces finds theirs here too
+# key folded from a poset's sp_tree keys its prime pieces through here too
 _KEY_CACHE = {}
 _KEY_CACHE_LIMIT = 500000
 
@@ -273,40 +273,70 @@ def split_ok(P, A, comp, kind, rel="iso"):
     raise ValueError("bad split kind %r" % (kind,))
 
 
-def pieces(P, parallel):
-    """P's events in the finest split that split_ok allows under iso: its
-    legal cuts are the unions of parallel pieces, or of initial sequential
-    pieces.  Parallel pieces are the classes of events linked by order or
-    a shared box, smallest first, then by sorted events; sequential ones
-    are the runs between the legal prefixes of a linear extension, in
-    order.  With no legal split there is one piece."""
-    if parallel:
-        piece = {e: frozenset([e]) for e in range(P.n)}
-        for linked in itertools.chain(P.order, P.boxes):
-            classes = {piece[e] for e in linked}
-            if len(classes) > 1:
-                joined = frozenset().union(*classes)
-                piece.update(dict.fromkeys(joined, joined))
-        return sorted(set(piece.values()), key=lambda A: (len(A), sorted(A)))
-    # sorting by how many events lie below gives a linear extension, so
-    # moving x into the prefix adds above[x] order pairs across the cut
-    # and removes below[x]; the first i events precede the rest when all
-    # i * (n - i) pairs cross, and are nested when no box straddles them
+def sp_tree(P):
+    """P's series-parallel decomposition by the finest splits split_ok
+    allows under iso: a list of nodes (kind, events, children), each before
+    its children, a range of indices into the list.  A "box" node's events
+    are a box of P, and its one child has them without that box.  The
+    children of a "par" node are the classes of its events linked by order
+    or a shared box, smallest first, then by sorted events; those of a
+    "seq" node are the runs between its legal prefixes, in order.  An
+    "atom" node has one event and a "prime" node no legal split; an empty
+    P has no nodes."""
     below, above, _ = _degrees(P)
-    ext = sorted(range(P.n), key=below.__getitem__)
-    pos = {e: i for i, e in enumerate(ext)}
-    straddles = [0] * (P.n + 1)
-    for box in P.boxes:
-        spots = [pos[e] for e in box]
-        straddles[min(spots) + 1] += 1
-        straddles[max(spots) + 1] -= 1
-    ends, cross, straddling = [], 0, 0
-    for i, x in enumerate(ext, 1):
-        cross += above[x] - below[x]
-        straddling += straddles[i]
-        if cross == i * (P.n - i) and not straddling:
-            ends.append(i)
-    return [frozenset(ext[i:j]) for i, j in zip([0] + ends, ends)]
+    succ = [set() for _ in range(P.n)]
+    for (a, b) in P.order:
+        succ[a].add(b)
+    covers = [succ[x].difference(*map(succ.__getitem__, succ[x]))
+              for x in range(P.n)]
+    # a node's events are a convex module: every other event lies below all
+    # of them (lo such events), above all (hi) or apart, so covers link them
+    # as order does.  A par class has one class, a seq run no legal prefix
+    todo = [(frozenset(range(P.n)), 0, 0, None)] if P.n else []
+    nodes = []
+    for evs, lo, hi, parent in todo:  # todo grows as nodes split
+        boxes = {box for box in P.boxes
+                 if box <= evs and (box != evs or parent != "box")}
+        kind, runs = "prime", []
+        if evs in boxes:
+            kind, runs = "box", [(evs, lo, hi)]
+        elif len(evs) == 1:
+            kind = "atom"
+        if kind == "prime" and parent != "par":
+            piece = {e: frozenset([e]) for e in evs}
+            for linked in itertools.chain(boxes, (
+                    (x, y) for x in evs for y in covers[x] if y in evs)):
+                classes = {piece[e] for e in linked}
+                if len(classes) > 1:
+                    joined = frozenset().union(*classes)
+                    piece.update(dict.fromkeys(joined, joined))
+            found = sorted(set(piece.values()),
+                           key=lambda A: (len(A), sorted(A)))
+            if len(found) > 1:
+                kind, runs = "par", [(A, lo, hi) for A in found]
+        if kind == "prime" and parent != "seq":
+            # sorted by how many events lie below, the events are a linear
+            # extension; its first i precede the other m - i when all
+            # i * (m - i) pairs cross, and are nested when no box straddles
+            ext = sorted(evs, key=below.__getitem__)
+            m, pos = len(ext), {e: i for i, e in enumerate(ext)}
+            straddles = [0] * (m + 1)
+            for box in boxes:
+                spots = [pos[e] for e in box]
+                straddles[min(spots) + 1] += 1
+                straddles[max(spots) + 1] -= 1
+            ends, cross, straddling = [], 0, 0
+            for i, x in enumerate(ext, 1):
+                cross += (above[x] - hi) - (below[x] - lo)
+                straddling += straddles[i]
+                if cross == i * (m - i) and not straddling:
+                    ends.append(i)
+            if len(ends) > 1:
+                kind, runs = "seq", [(frozenset(ext[i:j]), lo + i, hi + m - j)
+                                     for i, j in zip([0] + ends, ends)]
+        nodes.append((kind, evs, range(len(todo), len(todo) + len(runs))))
+        todo.extend(run + (kind,) for run in runs)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +539,20 @@ def _merges(classes):
     return math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
 
 
-def _split_key(P):
-    """P's key read from its full box, else its parallel pieces, else its
-    sequential pieces; None when P has no full box and is one piece both
-    ways."""
-    if P.has_full_box():
-        return ("box", P.without_full_box().key())
-    for parallel, tag in ((True, "par"), (False, "seq")):
-        ps = pieces(P, parallel)
-        if len(ps) > 1:
-            keys = [P.restrict(A).key() for A in ps]
-            return (tag, tuple(sorted(keys) if parallel else keys))
-    return None
+def _tree_key(P, tree):
+    """P's key folded from its sp_tree, children first."""
+    keys = [None] * len(tree)
+    for i in reversed(range(len(tree))):
+        kind, evs, children = tree[i]
+        subs = [keys[c] for c in children]
+        if kind == "atom":
+            keys[i] = ("form", (P.labels[min(evs)],), (), ())
+        elif kind == "prime":
+            # a piece with a full box sits under the box node that drops it
+            keys[i] = P.restrict(evs).without_full_box().key()
+        else:
+            keys[i] = (kind, tuple(sorted(subs) if kind == "par" else subs))
+    return keys[0]
 
 
 def canonical_key(P):
@@ -530,11 +562,10 @@ def canonical_key(P):
     renumbered by the least relabelling that keeps events in blocks of
     equal iso-invariant signature, blocks in signature order, taken once
     per order of twins.  When that search would try more relabellings
-    than P has events, and P has a full box or more than one piece, the
-    key follows P's structure instead: ("box", the key of P without its
-    full box), else ("par", its parallel pieces' keys, sorted), else
-    ("seq", its sequential pieces' keys, in order).  Each choice depends
-    only on P's isomorphism class."""
+    than P has events, and the root of P's sp_tree is not prime, the key
+    is folded from the tree instead, children first: (kind, the children's
+    keys, sorted for "par"), an atom's canonical form, and a prime piece's
+    own key.  Each choice depends only on P's isomorphism class."""
     sigs = _event_signatures(P)
     groups = {}
     for e in range(P.n):
@@ -549,9 +580,9 @@ def canonical_key(P):
         classes = [[twins[e] for e in groups[s] if twins[e][0] == e]
                    for s in sigs_sorted]
         if math.prod(map(_merges, classes)) > P.n:
-            split = _split_key(P)
-            if split is not None:
-                return split
+            tree = sp_tree(P)
+            if tree[0][0] != "prime":
+                return _tree_key(P, tree)
         orders = [_interleavings(cls) for cls in classes]
     order = list(P.order)
     boxes = [tuple(box) for box in P.boxes]

@@ -10,7 +10,7 @@ Term AST nodes are plain tuples:
 import functools
 import itertools
 
-from .posets import unit, atom, seq, par, boxed, subsumed_by, pieces
+from .posets import unit, atom, seq, par, boxed, subsumed_by, sp_tree
 
 ZERO = ("zero",)
 ONE = ("one",)
@@ -301,25 +301,22 @@ def sp_check(P):
 
 
 def synthesize_term(P):
-    """Rebuild a series-parallel term denoting P from its sequential pieces,
-    else its parallel ones, or None when P contains a forbidden pattern."""
-    if P.n == 0:
-        return ONE
-    if P.has_full_box():
-        inner = synthesize_term(P.without_full_box())
-        if inner is None:
+    """A series-parallel term denoting P, folded from P's sp_tree children
+    first, or None when P contains a forbidden pattern."""
+    tree = sp_tree(P)
+    subs = [None] * len(tree)
+    for i in reversed(range(len(tree))):
+        kind, evs, children = tree[i]
+        if kind == "prime":
             return None
-        return ("box", inner)
-    if P.n == 1:
-        return ("atom", P.labels[0])
-    for node, parallel in (("seq", False), ("par", True)):
-        parts = pieces(P, parallel)
-        if len(parts) > 1:
-            subs = [synthesize_term(P.restrict(A)) for A in parts]
-            if None in subs:
-                return None
-            return functools.reduce(lambda r, l: (node, l, r), reversed(subs))
-    return None
+        if kind == "atom":
+            subs[i] = ("atom", P.labels[min(evs)])
+        elif kind == "box":
+            subs[i] = ("box", subs[children[0]])
+        else:
+            subs[i] = functools.reduce(lambda r, l: (kind, l, r),
+                                       [subs[c] for c in reversed(children)])
+    return subs[0] if tree else ONE
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,7 @@ def choose_reference(P, f, rel):
 def synthesize_term_reference(P):
     """Term synthesis by search: the first legal |> split over every
     subset, else the first legal || split, each side synthesized in turn.
-    The reference for terms.synthesize_term, which reads posets.pieces."""
+    The reference for terms.synthesize_term, which folds posets.sp_tree."""
     if P.n == 0:
         return terms.ONE
     if P.has_full_box():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -38,6 +39,16 @@ def test_eq_counts_events_per_label():
 def test_eq_reorders_parallel_pieces():
     r = run_cli("eq", "--system", "bsp", "(a;b)|[a;b]|(a;b)|[a;b]|(a;b)|[a;b]",
                 "[a;b]|[a;b]|[a;b]|(a;b)|(a;b)|(a;b)")
+    assert r.returncode == 0 and r.stdout.strip() == "true"
+
+
+def test_eq_answers_on_deep_nesting():
+    # c;(T|d) nested 150 times around four copies of a;b: 308 events, whose
+    # key is read off the series-parallel tree with no recursion per level
+    t = "(a;b)|(a;b)|(a;b)|(a;b)"
+    for _ in range(150):
+        t = "c;((%s)|d)" % t
+    r = run_cli("eq", "--system", "bsp", t, t)
     assert r.returncode == 0 and r.stdout.strip() == "true"
 
 
@@ -192,6 +203,20 @@ def test_mc_json_payload_round_trips():
     assert r.returncode == 1
     doc = json.loads(r.stdout)
     assert doc["holds"] is False and doc["witness"] is None
+    assert doc["member"] is None
+
+
+def test_mc_json_names_the_witness_member():
+    # the witness's event ids refer to the member it names, whichever
+    # member of the set it is
+    text = "<>(a|>b)"
+    r = run_cli("mc", "--json", "--quantifier", "some", "--formula", text,
+                "((a;b)|(a;b)|(a;b)) + (a|a|(a;(b|b|b)))")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    m = posets.from_json(doc["member"])
+    assert set(doc["witness"]["A"]) <= set(range(m.n))
+    assert logic.replay(m, logic.parse_formula(text), "iso", doc["witness"])
 
 
 def test_mc_reads_poset_json(tmp_path):
@@ -230,6 +255,15 @@ def test_patterns_on_non_sp_poset(tmp_path):
     assert doc["result"] is False and doc["witness"]["pattern"] == "P1"
     r = run_cli("synth", "--poset-json", str(path))
     assert r.returncode == 1
+
+
+def test_patterns_on_a_long_chain_skip_the_pattern_scan():
+    # the series-parallel tree answers first, so the scan over every four
+    # events, minutes on 200 events, never runs
+    start = time.perf_counter()
+    r = run_cli("patterns", ";".join(["a"] * 200))
+    assert r.returncode == 0 and r.stdout.strip() == "ok"
+    assert time.perf_counter() - start < 10.0
 
 
 def test_patterns_ok_on_sp_term():

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from pombox import terms, testkit
 from pombox.posets import (
     Poset, PosetError, unit, atom, seq, par, boxed, from_edges, iso,
-    subsumed_by, find_homomorphism, split_ok, pieces, subsets, cuts,
+    subsumed_by, find_homomorphism, split_ok, sp_tree, subsets, cuts,
     factorize_subsumption, weakenings, strengthenings, canonical_key,
     transitive_closure, transitive_reduction, from_json, to_json, to_dot,
+    _KEY_CACHE,
 )
 
 
@@ -291,6 +292,18 @@ def test_canonical_key_is_fast_on_parallel_copies_and_deep_nesting():
     start = time.perf_counter()
     assert canonical_key(T)[0] == "form"
     assert time.perf_counter() - start < 2.0
+    # around four copies the form search would try 576 relabellings, so
+    # the key is folded from the series-parallel tree: no recursion and no
+    # cached key per level
+    T = terms.interp_sp(terms.parse_term("|".join(["(a;b)"] * 4)))
+    for _ in range(150):
+        T = seq(atom("c"), par(T, atom("d")))
+    assert T.n == 308
+    cached = len(_KEY_CACHE)
+    start = time.perf_counter()
+    assert T.key()[0] == "seq"
+    assert time.perf_counter() - start < 2.0
+    assert len(_KEY_CACHE) <= cached + 1
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +363,51 @@ def test_split_ok_relaxations_match_classify_subset_flags():
 
 
 def test_pieces_are_the_finest_legal_split():
-    # gen_poset draws straddling and overlapping boxes too
+    # each sp_tree node's children are the finest legal split of its
+    # events; gen_poset draws straddling and overlapping boxes too
     cfg = make_cfg(16, max_events=6)
     grng = cfg.rng()
+    kinds = set()
     for _ in range(300):
         P = testkit.gen_poset(cfg, grng)
-        all_ev = frozenset(range(P.n))
-        for parallel, kind in ((True, "parnext"), (False, "seqthen")):
-            ps = pieces(P, parallel)
-            assert all(ps) and sorted(e for A in ps for e in A) == \
-                list(range(P.n)), (P, parallel)
-            if parallel:
-                assert ps == sorted(ps, key=lambda A: (len(A), sorted(A)))
-                unions = {frozenset().union(*c) for k in range(1, len(ps))
-                          for c in itertools.combinations(ps, k)}
-            else:
-                unions = {frozenset().union(*ps[:k])
-                          for k in range(1, len(ps))}
-            legal = {A for A in subsets(P.n) if A and A != all_ev
-                     and split_ok(P, A, all_ev - A, kind)}
-            assert legal == unions, (P, kind)
+        tree = sp_tree(P)
+        assert bool(tree) == bool(P.n), P
+        under_box = {c for kind, _, children in tree if kind == "box"
+                     for c in children}
+        for i, (kind, evs, children) in enumerate(tree):
+            kinds.add(kind)
+            assert all(c > i for c in children), (P, i)
+            Q = P.restrict(evs)
+            if i in under_box:
+                Q = Q.without_full_box()
+            ren = {e: k for k, e in enumerate(sorted(evs))}
+            ps = [frozenset(ren[e] for e in tree[c][1]) for c in children]
+            if kind == "box":
+                assert Q.has_full_box() and len(children) == 1 and \
+                    tree[children[0]][1] == evs, (P, evs)
+                continue
+            assert not Q.has_full_box(), (P, evs)
+            assert (kind == "atom") == (Q.n == 1), (P, evs)
+            assert sorted(e for A in ps for e in A) == \
+                (list(range(Q.n)) if children else []), (P, evs)
+            if kind == "par":
+                runs = [tree[c][1] for c in children]
+                assert runs == sorted(runs, key=lambda A: (len(A), sorted(A)))
+            all_ev = frozenset(range(Q.n))
+            for split, tag in (("parnext", "par"), ("seqthen", "seq")):
+                if kind != tag:
+                    unions = set()
+                elif kind == "par":
+                    unions = {frozenset().union(*c)
+                              for k in range(1, len(ps))
+                              for c in itertools.combinations(ps, k)}
+                else:
+                    unions = {frozenset().union(*ps[:k])
+                              for k in range(1, len(ps))}
+                legal = {A for A in subsets(Q.n) if A and A != all_ev
+                         and split_ok(Q, A, all_ev - A, split)}
+                assert legal == unions, (P, evs, split)
+    assert kinds == {"box", "par", "seq", "atom", "prime"}
 
 
 def test_subsets_are_lazy_smallest_first_and_complete():

@@ -301,6 +301,11 @@ def test_synthesis_is_polynomial():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, peak
+    # nor restricts the poset once per piece
+    chain = interp_sp(parse_term(";".join(["a"] * 300)))
+    start = time.perf_counter()
+    assert synthesize_term(chain) is not None
+    assert time.perf_counter() - start < 0.3
 
 
 # ---------------------------------------------------------------------------

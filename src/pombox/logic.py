@@ -48,16 +48,11 @@ def render_formula(f):
 
 
 def positive(f):
-    if f[0] == "neg":
-        return False
-    return all(positive(sub) for sub in f[1:] if isinstance(sub, tuple))
+    return "neg" not in terms.kinds(f)
 
 
 def contains_boxmod(f):
-    if f[0] == "boxmod":
-        return True
-    return any(contains_boxmod(sub) for sub in f[1:]
-               if isinstance(sub, tuple))
+    return "boxmod" in terms.kinds(f)
 
 
 # ---------------------------------------------------------------------------

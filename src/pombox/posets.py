@@ -273,6 +273,15 @@ def split_ok(P, A, comp, kind, rel="iso"):
     raise ValueError("bad split kind %r" % (kind,))
 
 
+def _covers(P):
+    """Per event, the events that cover it: above it with nothing between."""
+    succ = [set() for _ in range(P.n)]
+    for (a, b) in P.order:
+        succ[a].add(b)
+    return [succ[x].difference(*map(succ.__getitem__, succ[x]))
+            for x in range(P.n)]
+
+
 def sp_tree(P):
     """P's series-parallel decomposition by the finest splits split_ok
     allows under iso: a list of nodes (kind, events, children), each before
@@ -284,11 +293,7 @@ def sp_tree(P):
     "atom" node has one event and a "prime" node no legal split; an empty
     P has no nodes."""
     below, above, _ = _degrees(P)
-    succ = [set() for _ in range(P.n)]
-    for (a, b) in P.order:
-        succ[a].add(b)
-    covers = [succ[x].difference(*map(succ.__getitem__, succ[x]))
-              for x in range(P.n)]
+    covers = _covers(P)
     # a node's events are a convex module: every other event lies below all
     # of them (lo such events), above all (hi) or apart, so covers link them
     # as order does.  A par class has one class, a seq run no legal prefix
@@ -540,18 +545,24 @@ def _merges(classes):
 
 
 def _tree_key(P, tree):
-    """P's key folded from its sp_tree, children first."""
+    """P's key folded from its sp_tree, children first, as one flat tuple:
+    per node in pre-order its kind, its number of children and its label
+    (an atom), its own key (a prime piece) or None, with the children of a
+    "par" node sorted by their keys.  The encoding is self-delimiting, so
+    two keys that agree up to a slot hold the same kind of value there,
+    and comparing them never recurses per level."""
     keys = [None] * len(tree)
     for i in reversed(range(len(tree))):
         kind, evs, children = tree[i]
         subs = [keys[c] for c in children]
+        payload = None
         if kind == "atom":
-            keys[i] = ("form", (P.labels[min(evs)],), (), ())
+            payload = P.labels[min(evs)]
         elif kind == "prime":
             # a piece with a full box sits under the box node that drops it
-            keys[i] = P.restrict(evs).without_full_box().key()
-        else:
-            keys[i] = (kind, tuple(sorted(subs) if kind == "par" else subs))
+            payload = P.restrict(evs).without_full_box().key()
+        keys[i] = (kind, len(subs), payload) + tuple(itertools.chain(
+            *(sorted(subs) if kind == "par" else subs)))
     return keys[0]
 
 
@@ -563,9 +574,8 @@ def canonical_key(P):
     equal iso-invariant signature, blocks in signature order, taken once
     per order of twins.  When that search would try more relabellings
     than P has events, and the root of P's sp_tree is not prime, the key
-    is folded from the tree instead, children first: (kind, the children's
-    keys, sorted for "par"), an atom's canonical form, and a prime piece's
-    own key.  Each choice depends only on P's isomorphism class."""
+    is folded from the tree instead (see _tree_key), led by the root's
+    kind.  Each choice depends only on P's isomorphism class."""
     sigs = _event_signatures(P)
     groups = {}
     for e in range(P.n):
@@ -653,13 +663,7 @@ def to_json(P):
 
 
 def transitive_reduction(P):
-    red = set(P.order)
-    for (a, b) in P.order:
-        for c in range(P.n):
-            if (a, c) in P.order and (c, b) in P.order:
-                red.discard((a, b))
-                break
-    return red
+    return {(a, b) for a, above in enumerate(_covers(P)) for b in above}
 
 
 def to_dot(P):

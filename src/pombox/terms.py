@@ -178,15 +178,19 @@ def render_term(t):
     return _TERMS.render(t)
 
 
+def kinds(t):
+    """The kind of every node of the term or formula t, outermost first; a
+    loop, so depth costs no stack.  Every operand is a node, except the
+    label of an atom."""
+    todo = [t]
+    for node in todo:  # todo grows as the walk goes down
+        yield node[0]
+        if node[0] != "atom":
+            todo += node[1:]
+
+
 def is_sp(t):
-    kind = t[0]
-    if kind in ("zero", "join"):
-        return False
-    if kind in ("one", "atom"):
-        return True
-    if kind == "box":
-        return is_sp(t[1])
-    return is_sp(t[1]) and is_sp(t[2])
+    return not any(kind in ("zero", "join") for kind in kinds(t))
 
 
 # ---------------------------------------------------------------------------

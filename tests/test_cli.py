@@ -161,6 +161,13 @@ def test_too_deep_input_exits_two(argv):
     assert "Traceback" not in r.stderr
 
 
+def test_mc_sub_answers_a_long_disjunction():
+    # the positivity check that sub needs walks the formula without recursion
+    r = run_cli("mc", "--relation", "sub", "--formula",
+                "\\/".join(["a"] * 400), "a")
+    assert r.returncode == 0 and r.stdout.strip() == "true"
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(*args):
         raise ZeroDivisionError("broken")

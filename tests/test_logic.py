@@ -18,6 +18,8 @@ from pombox.logic import (
     frame_formula, substitute_term, substitute_formula,
 )
 
+import references
+
 
 # ---------------------------------------------------------------------------
 # parsing and rendering
@@ -59,6 +61,20 @@ def test_positive_and_contains_boxmod():
     assert not positive(parse_formula("a/\\~b"))
     assert contains_boxmod(parse_formula("<>(a|>[b])"))
     assert not contains_boxmod(parse_formula("<>(a|>b)"))
+
+
+def test_kind_predicates_walk_deep_asts():
+    # 5 000 levels, far past the interpreter's recursion limit
+    def nest(node, kind, leaf):
+        for _ in range(5000):
+            node = (kind, node, leaf)
+        return node
+    f = nest(("atom", "a"), "or", ("atom", "b"))
+    assert positive(f) and not contains_boxmod(f)
+    f = nest(("neg", ("boxmod", ("atom", "a"))), "and", EMP)
+    assert not positive(f) and contains_boxmod(f)
+    assert terms.is_sp(nest(("box", ("atom", "a")), "seq", terms.ONE))
+    assert not terms.is_sp(nest(terms.ZERO, "par", ("atom", "a")))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +233,7 @@ def test_choose_matches_the_all_subsets_reference():
                 for A in posets.subsets(P.n):
                     Q = P.restrict(A)
                     assert logic._choose(Q, g, rel) == \
-                        testkit.choose_reference(Q, g, rel), (Q, g, rel)
+                        references.choose_reference(Q, g, rel), (Q, g, rel)
 
 
 def test_memo_tells_apart_posets_with_other_label_counts():

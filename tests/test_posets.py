@@ -19,6 +19,8 @@ from pombox.posets import (
     _KEY_CACHE,
 )
 
+import references
+
 
 def make_cfg(seed, **kw):
     return testkit.GenConfig(seed=seed, **kw)
@@ -151,9 +153,9 @@ def test_hom_modes_on_small_example():
     h = find_homomorphism(loose, ab)
     assert h is not None
     assert find_homomorphism(ab, loose) is None
-    assert testkit.hom_ok(loose, ab, h, testkit.ANY)
-    assert not testkit.hom_ok(loose, ab, h, testkit.ISO)
-    assert testkit.find_hom_reference(loose, ab, testkit.ISO) is None
+    assert references.hom_ok(loose, ab, h, references.ANY)
+    assert not references.hom_ok(loose, ab, h, references.ISO)
+    assert references.find_hom_reference(loose, ab, references.ISO) is None
 
 
 def test_find_homomorphism_agrees_with_reference():
@@ -166,13 +168,13 @@ def test_find_homomorphism_agrees_with_reference():
         W = relabeled_copy(rng.choice(list(weakenings(P))), rng)
         for src, tgt in ((P, testkit.gen_poset(cfg, grng)), (W, P), (P, W)):
             fast = find_homomorphism(src, tgt)
-            ref = testkit.find_hom_reference(src, tgt)
+            ref = references.find_hom_reference(src, tgt)
             assert (fast is None) == (ref is None), (src, tgt)
             if fast is not None:
-                assert testkit.hom_ok(src, tgt, fast), (src, tgt)
+                assert references.hom_ok(src, tgt, fast), (src, tgt)
             # the reference's iso mode finds only isomorphisms
-            h = testkit.find_hom_reference(src, tgt, testkit.ISO)
-            assert h is None or testkit.hom_ok(src, tgt, h, testkit.ISO)
+            h = references.find_hom_reference(src, tgt, references.ISO)
+            assert h is None or references.hom_ok(src, tgt, h, references.ISO)
             assert h is None or ref is not None
             assert (h is not None) == iso(src, tgt)
 
@@ -193,7 +195,7 @@ def test_canonical_key_separates_non_isomorphic():
     sample = [testkit.gen_poset(cfg, grng) for _ in range(60)]
     for P, Q in itertools.combinations(sample, 2):
         assert (P.key() == Q.key()) == (
-            testkit.find_hom_reference(P, Q, testkit.ISO) is not None)
+            references.find_hom_reference(P, Q, references.ISO) is not None)
 
 
 def test_canonical_key_counts_the_events_of_each_label():
@@ -213,9 +215,8 @@ def test_canonical_key_counts_the_events_of_each_label():
             family += [Poset(labels, shape.order, shape.boxes)
                        for labels in itertools.product("ab", repeat=n)]
         for P, Q in itertools.combinations(family, 2):
-            assert (P.key() == Q.key()) == (
-                testkit.find_hom_reference(P, Q, testkit.ISO) is not None), \
-                (P, Q)
+            assert (P.key() == Q.key()) == (references.find_hom_reference(
+                P, Q, references.ISO) is not None), (P, Q)
 
 
 def test_canonical_key_matches_the_brute_force_reference():
@@ -231,7 +232,7 @@ def test_canonical_key_matches_the_brute_force_reference():
         "a|a|a|a|a|a|a", "(a|a|a);(b|b|b)", "[a|a]|[a|a]|b|b|b",
         "(a;b)|((a|a);b)", "(a;b)|((a|a|a);b)|((a|a);b)", "[a]|[a]|a|a")]
     keys = [canonical_key(P) for P in cases]
-    refs = [testkit.canonical_key_reference(P) for P in cases]
+    refs = [references.canonical_key_reference(P) for P in cases]
     assert any(key[0] != "form" for key in keys)
     for P, key, ref in zip(cases, keys, refs):
         assert canonical_key(relabeled_copy(P, rng)) == key, P
@@ -272,9 +273,8 @@ def test_canonical_key_follows_boxes_and_pieces():
             assert kp != kq, (P, Q)
             continue
         searched += 1
-        assert (kp == kq) == (
-            testkit.find_hom_reference(P, Q, testkit.ISO) is not None), \
-            (P, Q)
+        assert (kp == kq) == (references.find_hom_reference(
+            P, Q, references.ISO) is not None), (P, Q)
     assert searched
 
 
@@ -304,6 +304,16 @@ def test_canonical_key_is_fast_on_parallel_copies_and_deep_nesting():
     assert T.key()[0] == "seq"
     assert time.perf_counter() - start < 2.0
     assert len(_KEY_CACHE) <= cached + 1
+    # 270 levels, built straight from its order pairs: the key is flat, so
+    # comparing two equal keys does not recurse per level
+    labels, order = list("abababab"), [(0, 1), (2, 3), (4, 5), (6, 7)]
+    for _ in range(270):
+        c = len(labels)
+        order += [(c, x) for x in range(c)] + [(c, c + 1)]
+        labels += ["c", "d"]
+    T = Poset(labels, order, (), _checked=True)
+    assert T.n == 548
+    assert canonical_key(T) == canonical_key(T)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +322,13 @@ def test_canonical_key_is_fast_on_parallel_copies_and_deep_nesting():
 
 def test_classify_subset_flags():
     P = seq(atom("a"), atom("b"))
-    f = testkit.classify_subset(P, {0})
+    f = references.classify_subset(P, {0})
     assert f["prefix"] and f["nested"] and not f["isolated"]
     Q = par(atom("a"), atom("b"))
-    f = testkit.classify_subset(Q, {0})
+    f = references.classify_subset(Q, {0})
     assert f["isolated"] and not f["prefix"]
     B = boxed(par(atom("a"), atom("b")))
-    f = testkit.classify_subset(B, {0})
+    f = references.classify_subset(B, {0})
     assert not f["nested"]  # cuts the box
 
 
@@ -335,7 +345,7 @@ def test_split_check_modes_match_explicit_recomposition():
                 # split_check internally asserts agreement between the
                 # flag route and the explicit recomposition route
                 assert split_ok(P, A, comp, kind) == \
-                    testkit.split_check(P, A, mode), (P, A, kind)
+                    references.split_check(P, A, mode), (P, A, kind)
 
 
 def test_split_ok_relaxations_match_classify_subset_flags():
@@ -345,7 +355,7 @@ def test_split_ok_relaxations_match_classify_subset_flags():
         P = testkit.gen_poset(cfg, grng)
         for A in subsets(P.n):
             comp = frozenset(range(P.n)) - A
-            fl = testkit.classify_subset(P, A)
+            fl = references.classify_subset(P, A)
             expected = {
                 ("seqthen", "iso"): fl["prefix"] and fl["nested"],
                 ("seqthen", "sub"): fl["prefix"],

@@ -360,6 +360,9 @@ def sat_oracle(P, f, rel="iso", cap=2):
     hit on a formula with a box modality, a witness space passed its size
     limits, or the work budget ran out), so a False answer could not be
     trusted.  The connectives are Kleene's strong three-valued ones.
+    Conjunctions, disjunctions and the two parts of a |> or || cut read
+    emp and atom operands first and stop at the first that decides; the
+    connectives are commutative, so the order changes no definite answer.
     A call owns its budget and memo: no earlier call changes its answer."""
     _check_query(f, rel)
     try:
@@ -378,6 +381,18 @@ def _oracle(run, P, f):
     return hit
 
 
+def _leaves_first(run, W, parts):
+    """The oracle's answers on W's (formula, events) parts, emp and atom
+    formulas first, read lazily: a leaf costs one step, so a False
+    conjunct or True disjunct there spares the costly parts.  Events None
+    stand for all of W; other parts are restricted only when read.  The
+    sort is stable and Kleene's connectives are commutative, so the order
+    changes no definite answer."""
+    parts = sorted(parts, key=lambda part: part[0][0] not in ("emp", "atom"))
+    for g, evs in parts:
+        yield _oracle(run, W if evs is None else W.restrict(evs), g)
+
+
 def _oracle_raw(run, P, f):
     kind = f[0]
     if kind in ("emp", "atom"):
@@ -385,18 +400,17 @@ def _oracle_raw(run, P, f):
         if run.rel == "iso":
             return iso(P, Q)
         return subsumed_by(P, Q) if run.rel == "sub" else subsumed_by(Q, P)
-    if kind == "and":
-        return _tv_all(_oracle(run, P, g) for g in f[1:])
-    if kind == "or":
-        return _tv_any(_oracle(run, P, g) for g in f[1:])
+    if kind in ("and", "or"):
+        read = _leaves_first(run, P, ((g, None) for g in f[1:]))
+        return _tv_all(read) if kind == "and" else _tv_any(read)
     if kind == "neg":
         return _tv_not(_oracle(run, P, f[1]))
 
     space, truncated = _witness_space(P, run, contains_boxmod(f))
     if kind in _SPLITS:
         # every witness is checked up to isomorphism, so the split rule
-        # is always the iso one; the right side is checked only when the
-        # left is not False, and <> has none
+        # is always the iso one; a cut holds when both its parts do, and
+        # <> has only the first
         def cuts_hold():
             for W in space:
                 all_ev = frozenset(range(W.n))
@@ -404,10 +418,8 @@ def _oracle_raw(run, P, f):
                     run.tick(3)
                     comp = all_ev - A
                     if split_ok(W, A, comp, kind):
-                        l = _oracle(run, W.restrict(A), f[1])
-                        r = (True if l is False or kind == "ctx"
-                             else _oracle(run, W.restrict(comp), f[2]))
-                        yield _tv_all((l, r))
+                        yield _tv_all(_leaves_first(run, W,
+                                                    zip(f[1:], (A, comp))))
         return _tv_any(cuts_hold(), truncated)
     if kind == "boxmod":
         if P.n == 0:

@@ -282,6 +282,15 @@ def _covers(P):
             for x in range(P.n)]
 
 
+def _root(up, e):
+    """The root of e's class in the union-find forest up (event -> the
+    event above it, a root -> itself), halving the path on the way."""
+    while up[e] != e:
+        up[e] = up[up[e]]
+        e = up[e]
+    return e
+
+
 def sp_tree(P):
     """P's series-parallel decomposition by the finest splits split_ok
     allows under iso: a list of nodes (kind, events, children), each before
@@ -308,14 +317,16 @@ def sp_tree(P):
         elif len(evs) == 1:
             kind = "atom"
         if kind == "prime" and parent != "par":
-            piece = {e: frozenset([e]) for e in evs}
+            up = {e: e for e in evs}
             for linked in itertools.chain(boxes, (
                     (x, y) for x in evs for y in covers[x] if y in evs)):
-                classes = {piece[e] for e in linked}
-                if len(classes) > 1:
-                    joined = frozenset().union(*classes)
-                    piece.update(dict.fromkeys(joined, joined))
-            found = sorted(set(piece.values()),
+                first, *rest = {_root(up, e) for e in linked}
+                for r in rest:
+                    up[r] = first
+            classes = {}
+            for e in evs:
+                classes.setdefault(_root(up, e), set()).add(e)
+            found = sorted(map(frozenset, classes.values()),
                            key=lambda A: (len(A), sorted(A)))
             if len(found) > 1:
                 kind, runs = "par", [(A, lo, hi) for A in found]

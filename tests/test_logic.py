@@ -337,14 +337,35 @@ def test_three_valued_helpers_follow_kleenes_tables():
 
 
 def test_oracle_answer_does_not_depend_on_earlier_calls():
-    # <>[a] runs out of budget here; were its finished sub-results kept
+    # <>[a] runs out of budget here, and the oracle reads it before
+    # emp|>emp (False, but no leaf); were its finished sub-results kept
     # past the call, the last query would answer False
     P = posets.Poset(["c", "a", "b", "b"], [(0, 3), (2, 3)],
                      [[0, 1], [0, 1, 2]])
-    f = parse_formula("<>[a]/\\emp")
+    f = parse_formula("<>[a]/\\(emp|>emp)")
     assert sat_oracle(P, f, "rev", 2) == UNKNOWN
     assert sat_oracle(P, parse_formula("<>[a]"), "rev", 2) == UNKNOWN
     assert sat_oracle(P, f, "rev", 2) == UNKNOWN
+
+
+def test_oracle_reads_leaves_first():
+    # emp is False on four events and costs one step, so the conjunction
+    # answers False in either order without reading <>[a], which runs out
+    # of budget on its own (above)
+    P = posets.Poset(["c", "a", "b", "b"], [(0, 3), (2, 3)],
+                     [[0, 1], [0, 1, 2]])
+    for text in ("<>[a]/\\emp", "emp/\\<>[a]"):
+        start = time.perf_counter()
+        assert sat_oracle(P, parse_formula(text), "rev", 2) is False, text
+        assert time.perf_counter() - start < 0.5, text
+        assert sat_bool(P, parse_formula(text), "rev") is False, text
+    # a cut whose right part is an atom reads it first and skips the left
+    # part where b fails; read left first, <>[a] on the whole poset would
+    # spend the budget before the witness that orders 1 < 3 makes
+    # {0, 1, 2} a prefix
+    f = parse_formula("(<>[a]\\/[[c||a]||b])|>b")
+    assert sat_oracle(P, f, "rev", 2) is True
+    assert sat_bool(P, f, "rev") is True
 
 
 def test_oracle_differential_small():

@@ -420,6 +420,31 @@ def test_pieces_are_the_finest_legal_split():
     assert kinds == {"box", "par", "seq", "atom", "prime"}
 
 
+def test_sp_tree_merges_par_classes_linked_by_boxes_and_covers():
+    # boxes are linked first, making {5, 6} and {2, 3}; the cover 0 < 5
+    # grows the first, and the cover 2 < 6 then merges two classes of
+    # several events each, through an event that is no longer a root
+    P = Poset("abcabcaab", [(0, 5), (2, 6), (7, 8)], [[5, 6], [2, 3]])
+    assert [(kind, sorted(evs), list(children))
+            for kind, evs, children in sp_tree(P)] == [
+        ("par", list(range(9)), [1, 2, 3, 4]), ("atom", [1], []),
+        ("atom", [4], []), ("seq", [7, 8], [5, 6]),
+        ("prime", [0, 2, 3, 5, 6], []), ("atom", [7], []), ("atom", [8], [])]
+    # beside three copies of x;y the key is folded from this tree; it
+    # must tell apart exactly the posets the reference tells apart
+    copies = terms.interp_sp(terms.parse_term("(x;y)|(x;y)|(x;y)"))
+    cases = [par(Q, copies) for Q in (
+        P, relabeled_copy(P, random.Random(23)),
+        Poset("abcabcaab", [(0, 5), (7, 8)], [[5, 6], [2, 3]]),
+        Poset("abcabcaab", [(0, 5), (2, 6), (7, 8)], [[5, 6], [3, 4]]))]
+    keys = [canonical_key(Q) for Q in cases]
+    refs = [references.canonical_key_reference(Q) for Q in cases]
+    assert keys[0][0] == "par"
+    assert keys[0] == keys[1]
+    for i, j in itertools.combinations(range(len(cases)), 2):
+        assert (keys[i] == keys[j]) == (refs[i] == refs[j]), (i, j)
+
+
 def test_subsets_are_lazy_smallest_first_and_complete():
     assert list(subsets(0)) == [frozenset()]
     assert [sorted(A) for A in subsets(3)] == [

@@ -288,7 +288,6 @@ def build_parser():
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--max-events", type=_at_least(0), default=3)
     q.add_argument("--formula-depth", type=_at_least(0), default=3)
-    q.add_argument("--cap", type=_at_least(0), default=2)
     return p
 
 
@@ -378,7 +377,7 @@ def run(argv):
         cfg = testkit.GenConfig(max_events=args.max_events,
                                 formula_depth=args.formula_depth,
                                 seed=args.seed)
-        found = testkit.differential_run(cfg, args.cases, cap=args.cap)
+        found = testkit.differential_run(cfg, args.cases)
         for d in found:
             print(json.dumps(d.as_dict()))
         return 0 if not found else 1

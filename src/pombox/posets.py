@@ -455,13 +455,15 @@ def factorize_subsumption(P, Q):
 # witness spaces for the brute-force satisfaction oracle
 
 
-def weakenings(P):
+def weakenings(P, tick=lambda: None):
     """All posets (same events/labels) with order a closed subset of P's
-    and boxes a subset of P's.  Everything P is subsumed by, up to iso."""
+    and boxes a subset of P's.  Everything P is subsumed by, up to iso.
+    Calls tick once per candidate order tested, closed or not."""
     order = sorted(P.order)
     boxes = sorted(P.boxes, key=lambda b: (len(b), sorted(b)))
     for k in range(len(order) + 1):
         for sub in itertools.combinations(order, k):
+            tick()
             if not is_transitively_closed(sub):
                 continue
             for j in range(len(boxes) + 1):
@@ -469,29 +471,20 @@ def weakenings(P):
                     yield Poset(P.labels, sub, bsub, _checked=True)
 
 
-def _order_extensions(P):
+def _order_extensions(P, tick=lambda: None):
     """Every strict partial order extending P's order on the same events,
-    lazily, fewest added pairs first.  Only incomparable pairs can be
-    added: the reverse of an order pair would break antisymmetry."""
+    lazily, fewest added pairs first, calling tick once per candidate
+    tested.  Only incomparable pairs can be added: the reverse of an
+    order pair would break antisymmetry."""
     free = [(a, b) for a in range(P.n) for b in range(P.n)
             if a != b and (a, b) not in P.order and (b, a) not in P.order]
     for k in range(len(free) + 1):
         for add in itertools.combinations(free, k):
+            tick()
             rel = P.order.union(add)
             if all((b, a) not in rel for (a, b) in add) and \
                     is_transitively_closed(rel):
                 yield rel
-
-
-def strengthenings(P, max_new_boxes):
-    """Posets with more order and up to max_new_boxes extra boxes; every
-    yielded Q is subsumed by P."""
-    cands = [A for A in subsets(P.n) if A and A not in P.boxes]
-    for rel in _order_extensions(P):
-        for k in range(0, max_new_boxes + 1):
-            for extra in itertools.combinations(cands, k):
-                yield Poset(P.labels, rel,
-                            list(P.boxes) + list(extra), _checked=True)
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,9 @@ class Discrepancy:
                 "actual": self.actual,
                 "shrunk": self.shrunk}
 
-    def replayable(self, cap=2):
+    def replayable(self):
         actual = logic.sat_bool(self.poset, self.formula, self.relation)
-        expected = logic.sat_oracle(self.poset, self.formula,
-                                    self.relation, cap)
+        expected = logic.sat_oracle(self.poset, self.formula, self.relation)
         return expected != logic.UNKNOWN and actual != expected
 
     def __repr__(self):
@@ -139,7 +138,7 @@ def _formula_shrinks(f):
             yield sub
 
 
-def shrink(d, cap=2):
+def shrink(d):
     """Greedy shrinking: drop events, then replace the formula by
     subformulas, while the mismatch persists."""
     P, f, rel = d.poset, d.formula, d.relation
@@ -149,7 +148,7 @@ def shrink(d, cap=2):
         for e in range(P.n):
             smaller = P.restrict(set(range(P.n)) - {e})
             cand = Discrepancy(smaller, f, rel, d.expected, d.actual, True)
-            if cand.replayable(cap):
+            if cand.replayable():
                 P = smaller
                 changed = True
                 break
@@ -157,16 +156,16 @@ def shrink(d, cap=2):
             continue
         for g in _formula_shrinks(f):
             cand = Discrepancy(P, g, rel, d.expected, d.actual, True)
-            if cand.replayable(cap):
+            if cand.replayable():
                 f = g
                 changed = True
                 break
     actual = logic.sat_bool(P, f, rel)
-    expected = logic.sat_oracle(P, f, rel, cap)
+    expected = logic.sat_oracle(P, f, rel)
     return Discrepancy(P, f, rel, expected, actual, True)
 
 
-def differential_run(cfg, n_cases, relations=logic.RELATIONS, cap=2):
+def differential_run(cfg, n_cases, relations=logic.RELATIONS):
     """Compare the engine against the oracle on random cases; returns the
     shrunk discrepancies."""
     rng = cfg.rng()
@@ -175,11 +174,10 @@ def differential_run(cfg, n_cases, relations=logic.RELATIONS, cap=2):
         P = gen_poset(cfg, rng)
         for rel in relations:
             f = gen_formula(cfg, positive=(rel != "iso"), rng=rng)
-            expected = logic.sat_oracle(P, f, rel, cap)
+            expected = logic.sat_oracle(P, f, rel)
             if expected == logic.UNKNOWN:
                 continue
             actual = logic.sat_bool(P, f, rel)
             if actual != expected:
-                out.append(shrink(Discrepancy(P, f, rel, expected, actual),
-                                  cap))
+                out.append(shrink(Discrepancy(P, f, rel, expected, actual)))
     return out

@@ -1,7 +1,8 @@
 """The slow, definition-level references that tests compare the library
 against: the pruning-free homomorphism search, the subset flags and split
 checks from their definitions, the forbidden patterns, the brute-force
-canonical key, and the all-subsets split and synthesis searches."""
+canonical key, the all-subsets split and synthesis searches, and the
+strengthenings with any new boxes, the rev witness space by definition."""
 
 import itertools
 
@@ -194,3 +195,14 @@ def synthesize_term_reference(P):
                 return None
             return (node, l, r)
     return None
+
+
+def strengthenings(P, max_new_boxes):
+    """Posets with more order and up to max_new_boxes extra boxes; every
+    yielded Q is subsumed by P."""
+    cands = [A for A in posets.subsets(P.n) if A and A not in P.boxes]
+    for rel in posets._order_extensions(P):
+        for k in range(0, max_new_boxes + 1):
+            for extra in itertools.combinations(cands, k):
+                yield posets.Poset(P.labels, rel,
+                                   list(P.boxes) + list(extra), _checked=True)

@@ -183,7 +183,6 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     ["fuzz", "--max-events", "-1"],
     ["fuzz", "--formula-depth", "-1"],
     ["fuzz", "--cases", "-1"],
-    ["fuzz", "--cap", "-1"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_out_of_range_count_exits_two(argv):
     r = run_cli(*argv)

@@ -294,14 +294,14 @@ def test_oracle_agrees_on_basics():
     assert sat_oracle(ab, parse_formula("[a|>b]"), "rev") is True
 
 
-def test_oracle_reports_unknown_when_the_box_cap_bites():
-    # cap 0 cannot add the needed full box, and the formula mentions a
-    # box modality, so False cannot be trusted
-    res = sat_oracle(atom("a"), parse_formula("[a]"), "rev", cap=0)
-    assert res == UNKNOWN
-    # without box modalities the same cap yields a definite answer
-    assert sat_oracle(atom("a"), parse_formula("a|>emp"), "rev",
-                      cap=0) is True
+def test_oracle_adds_the_full_box_a_box_modality_needs():
+    # under rev a [g] clause's witnesses carry the full box, whatever
+    # cap says
+    assert sat_oracle(atom("a"), parse_formula("[a]"), "rev", 0) is True
+    assert sat_oracle(atom("a"), parse_formula("[a]"), "rev") is True
+    # box-free formulas answer definitely too
+    assert sat_oracle(atom("a"), parse_formula("a|>emp"), "rev") is True
+    assert sat_oracle(atom("a"), parse_formula("b|>emp"), "rev") is False
 
 
 def _read_once_decided(l, r, deciding):
@@ -336,35 +336,41 @@ def test_three_valued_helpers_follow_kleenes_tables():
     assert logic._tv_all(iter([])) is True
 
 
-def test_oracle_answer_does_not_depend_on_earlier_calls():
-    # <>[a] runs out of budget here, and the oracle reads it before
-    # emp|>emp (False, but no leaf); were its finished sub-results kept
-    # past the call, the last query would answer False
+def test_oracle_answer_does_not_depend_on_earlier_calls(monkeypatch):
+    # with 6 000 steps <>[a] runs out of budget here, and the oracle reads
+    # it before emp|>emp (False, but no leaf); were its finished
+    # sub-results kept past the call, the second or the last query would
+    # answer False
+    monkeypatch.setattr(logic, "_ORACLE_BUDGET", 6000)
     P = posets.Poset(["c", "a", "b", "b"], [(0, 3), (2, 3)],
                      [[0, 1], [0, 1, 2]])
     f = parse_formula("<>[a]/\\(emp|>emp)")
-    assert sat_oracle(P, f, "rev", 2) == UNKNOWN
-    assert sat_oracle(P, parse_formula("<>[a]"), "rev", 2) == UNKNOWN
-    assert sat_oracle(P, f, "rev", 2) == UNKNOWN
+    assert sat_oracle(P, f, "rev") == UNKNOWN
+    assert sat_oracle(P, parse_formula("<>[a]"), "rev") == UNKNOWN
+    assert sat_oracle(P, f, "rev") == UNKNOWN
+    assert sat_oracle(P, parse_formula("emp|>emp"), "rev") is False
 
 
-def test_oracle_reads_leaves_first():
-    # emp is False on four events and costs one step, so the conjunction
-    # answers False in either order without reading <>[a], which runs out
-    # of budget on its own (above)
+def test_oracle_reads_leaves_first(monkeypatch):
+    # with 3 000 steps <>[a] runs out of budget on this poset; emp is
+    # False on four events and costs one step, so the conjunction answers
+    # False in either order without reading <>[a]
+    monkeypatch.setattr(logic, "_ORACLE_BUDGET", 3000)
     P = posets.Poset(["c", "a", "b", "b"], [(0, 3), (2, 3)],
                      [[0, 1], [0, 1, 2]])
+    assert sat_oracle(P, parse_formula("<>[a]"), "rev") == UNKNOWN
     for text in ("<>[a]/\\emp", "emp/\\<>[a]"):
         start = time.perf_counter()
-        assert sat_oracle(P, parse_formula(text), "rev", 2) is False, text
+        assert sat_oracle(P, parse_formula(text), "rev") is False, text
         assert time.perf_counter() - start < 0.5, text
         assert sat_bool(P, parse_formula(text), "rev") is False, text
     # a cut whose right part is an atom reads it first and skips the left
-    # part where b fails; read left first, <>[a] on the whole poset would
-    # spend the budget before the witness that orders 1 < 3 makes
+    # part where b fails; read left first, the cut with an empty right
+    # part would try the disjunction on the whole poset, where <>[a]
+    # spends the budget before the witness that orders 1 < 3 makes
     # {0, 1, 2} a prefix
-    f = parse_formula("(<>[a]\\/[[c||a]||b])|>b")
-    assert sat_oracle(P, f, "rev", 2) is True
+    f = parse_formula("([[c||a]||b]\\/<>[a])|>b")
+    assert sat_oracle(P, f, "rev") is True
     assert sat_bool(P, f, "rev") is True
 
 
@@ -387,13 +393,13 @@ def test_box_free_witness_spaces_are_orders_up_to_iso():
                 for sub in itertools.combinations(order, k)
                 if posets.transitive_closure(P.n, sub) == frozenset(sub)]
         want = {posets.Poset(P.labels, sub, ()).key() for sub in subs}
-        space, truncated = logic._witness_space(P, logic._Run("sub", 2),
-                                                False)
+        space, truncated = logic._witness_space(P, logic._Run("sub"),
+                                                parse_formula("a"))
         assert not truncated and {W.key() for W in space} == want
         want = {posets.Poset(P.labels, ext, P.boxes).key()
                 for ext in posets._order_extensions(P)}
-        space, truncated = logic._witness_space(P, logic._Run("rev", 2),
-                                                False)
+        space, truncated = logic._witness_space(P, logic._Run("rev"),
+                                                parse_formula("a"))
         assert not truncated and {W.key() for W in space} == want
 
 
@@ -452,6 +458,52 @@ def test_oracle_on_an_antichain_under_rev_returns():
     start = time.perf_counter()
     assert sat_oracle(antichain, parse_formula("a||b"), "rev") is not True
     assert time.perf_counter() - start < 10.0
+
+
+def test_oracle_charges_every_order_candidate(monkeypatch):
+    # two parallel chains of four leave 32 incomparable pairs, and most
+    # sets of them are no order; each costs a step, so the call ends at
+    # the budget instead of testing 2**32 candidates
+    monkeypatch.setattr(logic, "_ORACLE_BUDGET", 100000)
+    P = interp_sp(parse_term("(a;a;a;a)|(b;b;b;b)"))
+    start = time.perf_counter()
+    assert sat_oracle(P, parse_formula("<>[c]"), "rev") == UNKNOWN
+    assert time.perf_counter() - start < 5.0
+
+
+def _uncapped_rev_space(P, run, f):
+    # the rev witness space by definition, unclipped: every order
+    # extension with every set of new boxes, where f has a box modality
+    new_boxes = 2 ** P.n - 1 if contains_boxmod(f) else 0
+    seen = {}
+    for W in references.strengthenings(P, new_boxes):
+        run.tick(20)
+        seen.setdefault(W.key(), W)
+    return tuple(seen.values()), False
+
+
+def test_rev_oracle_matches_the_uncapped_strengthenings(monkeypatch):
+    # no definite answer may differ from the oracle that adds any boxes,
+    # and an answer only the narrowed space decides must be the engine's
+    compared = 0
+    for seed in range(1, 9):
+        cfg = testkit.GenConfig(seed=seed, max_events=3, formula_depth=3)
+        rng = cfg.rng()
+        for _ in range(60):
+            P = testkit.gen_poset(cfg, rng)
+            f = testkit.gen_formula(cfg, positive=True, rng=rng)
+            if not contains_boxmod(f):
+                continue
+            compared += 1
+            got = sat_oracle(P, f, "rev")
+            with monkeypatch.context() as m:
+                m.setattr(logic, "_witness_space", _uncapped_rev_space)
+                want = sat_oracle(P, f, "rev")
+            if want != UNKNOWN:
+                assert got == want, (P, f)
+            elif got != UNKNOWN:
+                assert got == sat_bool(P, f, "rev"), (P, f)
+    assert compared >= 150
 
 
 # ---------------------------------------------------------------------------

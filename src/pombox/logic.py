@@ -256,55 +256,20 @@ def replay(P, f, rel, witness):
 # brute-force oracle: definition-level witness enumeration
 
 
-# Kleene's strong three-valued connectives over True, False and UNKNOWN.
-# _tv_any and _tv_all stop reading their results at the first that
-# decides, so the oracle does no work past it.
-
-
-def _tv_not(r):
-    return UNKNOWN if r == UNKNOWN else not r
-
-
-def _tv_any(results, extra_unknown=False):
-    """Disjunction; extra_unknown stands for results a truncated space
-    left out, so it turns a False answer into UNKNOWN."""
-    saw_unknown = extra_unknown
-    for r in results:
-        if r is True:
-            return True
-        if r == UNKNOWN:
-            saw_unknown = True
-    return UNKNOWN if saw_unknown else False
-
-
-def _tv_all(results):
-    saw_unknown = False
-    for r in results:
-        if r is False:
-            return False
-        if r == UNKNOWN:
-            saw_unknown = True
-    return UNKNOWN if saw_unknown else True
-
-
-# enumeration bounds for one witness space; exceeding them marks the
-# space as truncated, which the callers report as "unknown" when a False
-# answer would otherwise be returned
-_SPACE_LIMIT = 400
-_SPACE_RAW_LIMIT = 4000
-
-
 def _witness_space(P, run, f):
-    """Witness posets for the clause f on P, deduplicated up to
-    isomorphism, smallest changes first, one budget step per candidate
-    tested, clipped at fixed bounds; a clipped space is flagged truncated.
+    """Witness posets for the clause f on P, yielded one per isomorphism
+    class as they are found, smallest changes first, so a caller that
+    stops at the first witness that holds builds no more of the space.
+    Each poset the space makes costs 20 budget steps, repeats included,
+    and each candidate order tested costs one.
     Under sub a box-free f drops P's boxes, which only ever hurt it.
     Under rev the witnesses are P's order extensions with P's boxes, and
     for a box modality the full box too.  No other new box helps: without
     it a legal cut stays legal and its parts are weaker, and whatever
     holds under rev holds on every weaker poset."""
     if run.rel == "iso":
-        return (P,), False
+        yield P
+        return
     if run.rel == "sub":
         space = weakenings(P if contains_boxmod(f)
                            else Poset(P.labels, P.order, (), _checked=True),
@@ -315,13 +280,13 @@ def _witness_space(P, run, f):
             boxes |= {frozenset(range(P.n))}
         space = (Poset(P.labels, order, boxes, _checked=True)
                  for order in _order_extensions(P, run.tick))
-    seen = {}
-    for raw, W in enumerate(space, 1):
+    seen = set()
+    for W in space:
         run.tick(20)
-        seen.setdefault(W.key(), W)
-        if len(seen) >= _SPACE_LIMIT or raw >= _SPACE_RAW_LIMIT:
-            return tuple(seen.values()), True
-    return tuple(seen.values()), False
+        key = W.key()
+        if key not in seen:
+            seen.add(key)
+            yield W
 
 
 class _BudgetExhausted(Exception):
@@ -330,8 +295,9 @@ class _BudgetExhausted(Exception):
 
 # evaluation steps allowed per top-level oracle call; nested witness
 # enumerations can explode combinatorially, so past this the call gives up
-# and answers "unknown"
-_ORACLE_BUDGET = 3000000
+# and answers "unknown"; nothing else bounds a wide witness space, so it is
+# kept small enough that such a call ends within seconds
+_ORACLE_BUDGET = 600000
 
 # emp and atom answers, shared by every call: a leaf costs a call one step
 # whether computed or looked up, so sharing changes no answer or budget
@@ -356,16 +322,16 @@ def sat_oracle(P, f, rel="iso", cap=None):
     """Evaluate satisfaction by direct witness enumeration over
     weakenings/strengthenings, decompositions found by explicit subset
     search on the witness.  Returns True, False or "unknown": unknown
-    means the enumeration was cut short (a witness space passed its size
-    limits, or the work budget ran out), so a False answer could not be
-    trusted.  The connectives are Kleene's strong three-valued ones.
-    Conjunctions, disjunctions and the two parts of a |> or || cut read
-    emp and atom operands first and stop at the first that decides; the
-    connectives are commutative, so the order changes no definite answer.
-    A call owns its budget and memo: no earlier call changes its answer.
-    cap is ignored: rev witnesses add no box but the full box a box
-    modality asks for, so there is no box count to bound.  It is kept
-    because the benchmark's workloads pass it."""
+    means the work budget ran out before the answer was found.  Witness
+    spaces are read lazily, and a split or box modality stops at the
+    first witness that holds.  Conjunctions, disjunctions and the two
+    parts of a |> or || cut read emp and atom operands first and stop at
+    the first that decides; the connectives are commutative, so the order
+    changes no answer, only how much budget it costs.  A call owns its
+    budget and memo: no earlier call changes its answer.  cap is ignored:
+    rev witnesses add no box but the full box a box modality asks for, so
+    there is no box count to bound.  It is kept because the benchmark's
+    workloads pass it."""
     _check_query(f, rel)
     try:
         return _oracle(_Run(rel), P, f)
@@ -388,8 +354,8 @@ def _leaves_first(run, W, parts):
     formulas first, read lazily: a leaf costs one step, so a False
     conjunct or True disjunct there spares the costly parts.  Events None
     stand for all of W; other parts are restricted only when read.  The
-    sort is stable and Kleene's connectives are commutative, so the order
-    changes no definite answer."""
+    sort is stable and the connectives are commutative, so the order
+    changes no answer, only how much budget it costs."""
     parts = sorted(parts, key=lambda part: part[0][0] not in ("emp", "atom"))
     for g, evs in parts:
         yield _oracle(run, W if evs is None else W.restrict(evs), g)
@@ -404,13 +370,13 @@ def _oracle_raw(run, P, f):
         return subsumed_by(P, Q) if run.rel == "sub" else subsumed_by(Q, P)
     if kind in ("and", "or"):
         read = _leaves_first(run, P, ((g, None) for g in f[1:]))
-        return _tv_all(read) if kind == "and" else _tv_any(read)
+        return all(read) if kind == "and" else any(read)
     if kind == "neg":
-        return _tv_not(_oracle(run, P, f[1]))
+        return not _oracle(run, P, f[1])
 
     if kind == "boxmod" and P.n == 0:
         return _oracle(run, P, f[1])
-    space, truncated = _witness_space(P, run, f)
+    space = _witness_space(P, run, f)
     if kind in _SPLITS:
         # every witness is checked up to isomorphism, so the split rule
         # is always the iso one; a cut holds when both its parts do, and
@@ -422,12 +388,11 @@ def _oracle_raw(run, P, f):
                     run.tick(3)
                     comp = all_ev - A
                     if split_ok(W, A, comp, kind):
-                        yield _tv_all(_leaves_first(run, W,
-                                                    zip(f[1:], (A, comp))))
-        return _tv_any(cuts_hold(), truncated)
+                        yield all(_leaves_first(run, W, zip(f[1:], (A, comp))))
+        return any(cuts_hold())
     if kind == "boxmod":
-        return _tv_any((_oracle(run, W.without_full_box(), f[1])
-                        for W in space if W.has_full_box()), truncated)
+        return any(_oracle(run, W.without_full_box(), f[1])
+                   for W in space if W.has_full_box())
     raise ValueError("bad formula node %r" % (kind,))
 
 

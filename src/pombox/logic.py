@@ -18,8 +18,7 @@ import functools
 
 from . import terms
 from .posets import (Poset, unit, atom, seq, par, iso, subsumed_by,
-                     weakenings, subsets, cuts, split_ok, _is_id_list,
-                     _order_extensions)
+                     steps, subsets, cuts, split_ok, _is_id_list)
 from .terms import FragmentError
 
 EMP = ("emp",)
@@ -257,11 +256,12 @@ def replay(P, f, rel, witness):
 
 
 def _witness_space(P, run, f):
-    """Witness posets for the clause f on P, yielded one per isomorphism
-    class as they are found, smallest changes first, so a caller that
-    stops at the first witness that holds builds no more of the space.
-    Each poset the space makes costs 20 budget steps, repeats included,
-    and each candidate order tested costs one.
+    """Witness posets for the clause f on P, one per isomorphism class, by
+    a depth-first walk from P: pop a poset, yield it, and push each poset
+    one step away whose key is new.  Steps commute with isomorphism, so
+    expanding one poset per class reaches every class, and a caller that
+    stops at the first witness that holds walks no further.  Each poset a
+    step makes costs one budget step, and each new class 20 more.
     Under sub a box-free f drops P's boxes, which only ever hurt it.
     Under rev the witnesses are P's order extensions with P's boxes, and
     for a box modality the full box too.  No other new box helps: without
@@ -270,33 +270,32 @@ def _witness_space(P, run, f):
     if run.rel == "iso":
         yield P
         return
-    if run.rel == "sub":
-        space = weakenings(P if contains_boxmod(f)
-                           else Poset(P.labels, P.order, (), _checked=True),
-                           run.tick)
-    else:
-        boxes = P.boxes
-        if f[0] == "boxmod":
-            boxes |= {frozenset(range(P.n))}
-        space = (Poset(P.labels, order, boxes, _checked=True)
-                 for order in _order_extensions(P, run.tick))
-    seen = set()
-    for W in space:
-        run.tick(20)
-        key = W.key()
-        if key not in seen:
-            seen.add(key)
-            yield W
+    if run.rel == "sub" and not contains_boxmod(f):
+        P = Poset(P.labels, P.order, (), _checked=True)
+    elif run.rel == "rev" and f[0] == "boxmod":
+        P = Poset(P.labels, P.order, P.boxes | {frozenset(range(P.n))},
+                  _checked=True)
+    seen = {P.key()}
+    stack = [P]
+    while stack:
+        W = stack.pop()
+        yield W
+        for V in steps(W, run.rel):
+            run.tick()
+            if V.key() not in seen:
+                run.tick(20)
+                seen.add(V.key())
+                stack.append(V)
 
 
 class _BudgetExhausted(Exception):
     pass
 
 
-# evaluation steps allowed per top-level oracle call; nested witness
-# enumerations can explode combinatorially, so past this the call gives up
-# and answers "unknown"; nothing else bounds a wide witness space, so it is
-# kept small enough that such a call ends within seconds
+# evaluation steps allowed per top-level oracle call; nested witness walks
+# can explode combinatorially, so past this the call gives up and answers
+# "unknown"; nothing else bounds a wide witness space, so it is kept small
+# enough that such a call ends within seconds
 _ORACLE_BUDGET = 600000
 
 # emp and atom answers, shared by every call: a leaf costs a call one step
@@ -320,7 +319,7 @@ class _Run:
 
 def sat_oracle(P, f, rel="iso", cap=None):
     """Evaluate satisfaction by direct witness enumeration over
-    weakenings/strengthenings, decompositions found by explicit subset
+    the posets below or above P, decompositions found by explicit subset
     search on the witness.  Returns True, False or "unknown": unknown
     means the work budget ran out before the answer was found.  Witness
     spaces are read lazily, and a split or box modality stops at the

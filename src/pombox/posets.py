@@ -33,15 +33,6 @@ def transitive_closure(n, pairs):
     return frozenset((a, b) for a in range(n) for b in reach[a])
 
 
-def is_transitively_closed(pairs):
-    s = set(pairs)
-    for (a, b) in s:
-        for (c, d) in s:
-            if b == c and (a, d) not in s:
-                return False
-    return True
-
-
 # canonical keys are expensive to compute and the same structures recur
 # constantly during witness enumeration, so keys are shared globally; a
 # key folded from a poset's sp_tree keys its prime pieces through here too
@@ -455,36 +446,31 @@ def factorize_subsumption(P, Q):
 # witness spaces for the brute-force satisfaction oracle
 
 
-def weakenings(P, tick=lambda: None):
-    """All posets (same events/labels) with order a closed subset of P's
-    and boxes a subset of P's.  Everything P is subsumed by, up to iso.
-    Calls tick once per candidate order tested, closed or not."""
-    order = sorted(P.order)
-    boxes = sorted(P.boxes, key=lambda b: (len(b), sorted(b)))
-    for k in range(len(order) + 1):
-        for sub in itertools.combinations(order, k):
-            tick()
-            if not is_transitively_closed(sub):
-                continue
-            for j in range(len(boxes) + 1):
-                for bsub in itertools.combinations(boxes, j):
-                    yield Poset(P.labels, sub, bsub, _checked=True)
-
-
-def _order_extensions(P, tick=lambda: None):
-    """Every strict partial order extending P's order on the same events,
-    lazily, fewest added pairs first, calling tick once per candidate
-    tested.  Only incomparable pairs can be added: the reverse of an
-    order pair would break antisymmetry."""
-    free = [(a, b) for a in range(P.n) for b in range(P.n)
-            if a != b and (a, b) not in P.order and (b, a) not in P.order]
-    for k in range(len(free) + 1):
-        for add in itertools.combinations(free, k):
-            tick()
-            rel = P.order.union(add)
-            if all((b, a) not in rel for (a, b) in add) and \
-                    is_transitively_closed(rel):
-                yield rel
+def steps(P, rel):
+    """The posets one step from P in the subsumption order, lazily: under
+    "sub" P without one covering pair or one box, under "rev" P plus one
+    pair (a, b) of incomparable events and every (x, y) with x <= a and
+    b <= y.  Each is a poset, and chains of steps reach every closed
+    sub-order with every subset of the boxes (sub) or every order
+    extension (rev)."""
+    if rel == "sub":
+        for a, above in enumerate(_covers(P)):
+            for b in above:
+                yield Poset(P.labels, P.order - {(a, b)}, P.boxes,
+                            _checked=True)
+        for box in P.boxes:
+            yield Poset(P.labels, P.order, P.boxes - {box}, _checked=True)
+        return
+    down = [{e} for e in range(P.n)]
+    up = [{e} for e in range(P.n)]
+    for a, b in P.order:
+        down[b].add(a)
+        up[a].add(b)
+    for a, b in itertools.permutations(range(P.n), 2):
+        if b not in up[a] and a not in up[b]:
+            added = itertools.product(down[a], up[b])
+            yield Poset(P.labels, P.order.union(added), P.boxes,
+                        _checked=True)
 
 
 # ---------------------------------------------------------------------------

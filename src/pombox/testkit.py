@@ -155,6 +155,8 @@ def shrink(d):
         if changed:
             continue
         for g in _formula_shrinks(f):
+            if g == f:
+                continue
             cand = Discrepancy(P, g, rel, d.expected, d.actual, True)
             if cand.replayable():
                 f = g

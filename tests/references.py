@@ -1,12 +1,14 @@
 """The slow, definition-level references that tests compare the library
 against: the pruning-free homomorphism search, the subset flags and split
 checks from their definitions, the forbidden patterns, the brute-force
-canonical key, the all-subsets split and synthesis searches, and the
+canonical key, the all-subsets split and synthesis searches, the
+weakenings and order extensions from every subset of pairs, and the
 strengthenings with any new boxes, the rev witness space by definition."""
 
 import itertools
 
 from pombox import posets, logic, terms
+from pombox.posets import Poset
 
 
 # homomorphism modes: ANY maps order into order and boxes into boxes, ISO
@@ -201,8 +203,49 @@ def strengthenings(P, max_new_boxes):
     """Posets with more order and up to max_new_boxes extra boxes; every
     yielded Q is subsumed by P."""
     cands = [A for A in posets.subsets(P.n) if A and A not in P.boxes]
-    for rel in posets._order_extensions(P):
+    for rel in _order_extensions(P):
         for k in range(0, max_new_boxes + 1):
             for extra in itertools.combinations(cands, k):
                 yield posets.Poset(P.labels, rel,
                                    list(P.boxes) + list(extra), _checked=True)
+
+
+def is_transitively_closed(pairs):
+    s = set(pairs)
+    for (a, b) in s:
+        for (c, d) in s:
+            if b == c and (a, d) not in s:
+                return False
+    return True
+
+
+def weakenings(P, tick=lambda: None):
+    """All posets (same events/labels) with order a closed subset of P's
+    and boxes a subset of P's.  Everything P is subsumed by, up to iso.
+    Calls tick once per candidate order tested, closed or not."""
+    order = sorted(P.order)
+    boxes = sorted(P.boxes, key=lambda b: (len(b), sorted(b)))
+    for k in range(len(order) + 1):
+        for sub in itertools.combinations(order, k):
+            tick()
+            if not is_transitively_closed(sub):
+                continue
+            for j in range(len(boxes) + 1):
+                for bsub in itertools.combinations(boxes, j):
+                    yield Poset(P.labels, sub, bsub, _checked=True)
+
+
+def _order_extensions(P, tick=lambda: None):
+    """Every strict partial order extending P's order on the same events,
+    lazily, fewest added pairs first, calling tick once per candidate
+    tested.  Only incomparable pairs can be added: the reverse of an
+    order pair would break antisymmetry."""
+    free = [(a, b) for a in range(P.n) for b in range(P.n)
+            if a != b and (a, b) not in P.order and (b, a) not in P.order]
+    for k in range(len(free) + 1):
+        for add in itertools.combinations(free, k):
+            tick()
+            rel = P.order.union(add)
+            if all((b, a) not in rel for (a, b) in add) and \
+                    is_transitively_closed(rel):
+                yield rel

@@ -208,7 +208,7 @@ def test_criterion_6_closure_laws():
     for i in range(200):
         P = testkit.gen_poset(cfg, rng)
         f = testkit.gen_formula(cfg, positive=True, rng=rng)
-        ws = list(posets.weakenings(P))
+        ws = list(references.weakenings(P))
         Q = ws[rng.randrange(len(ws))]
         if sat_bool(Q, f, "sub") and not sat_bool(P, f, "sub"):
             bad.append(("sub-closure", i))

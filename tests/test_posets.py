@@ -14,7 +14,7 @@ from pombox import terms, testkit
 from pombox.posets import (
     Poset, PosetError, unit, atom, seq, par, boxed, from_edges, iso,
     subsumed_by, find_homomorphism, split_ok, sp_tree, subsets, cuts,
-    factorize_subsumption, weakenings, canonical_key,
+    factorize_subsumption, canonical_key, steps,
     transitive_closure, transitive_reduction, from_json, to_json, to_dot,
     _KEY_CACHE,
 )
@@ -165,7 +165,7 @@ def test_find_homomorphism_agrees_with_reference():
     for _ in range(300):
         P = testkit.gen_poset(cfg, grng)
         # a shuffled weakening of P shares its labels, and maps into P
-        W = relabeled_copy(rng.choice(list(weakenings(P))), rng)
+        W = relabeled_copy(rng.choice(list(references.weakenings(P))), rng)
         for src, tgt in ((P, testkit.gen_poset(cfg, grng)), (W, P), (P, W)):
             fast = find_homomorphism(src, tgt)
             ref = references.find_hom_reference(src, tgt)
@@ -492,14 +492,37 @@ def test_weakenings_are_weaker_and_complete_on_small_posets():
     grng = cfg.rng()
     for _ in range(25):
         P = testkit.gen_poset(cfg, grng)
-        ws = list(weakenings(P))
+        ws = list(references.weakenings(P))
         for W in ws:
             assert subsumed_by(P, W)
-        # completeness: any Q over the same labels with P below it shows
-        # up in the list up to isomorphism
-        keys = set(W.key() for W in ws)
-        for Q in ws:
-            assert Q.key() in keys
+        # completeness: every closed subset of P's order, with every subset
+        # of P's boxes, shows up in the list up to isomorphism
+        order = sorted(P.order)
+        boxes = sorted(P.boxes, key=sorted)
+        closed = [sub for sub in (frozenset(order[i] for i in s)
+                                  for s in subsets(len(order)))
+                  if transitive_closure(P.n, sub) == sub]
+        want = {Poset(P.labels, sub, [boxes[i] for i in bs]).key()
+                for sub in closed for bs in subsets(len(boxes))}
+        assert {W.key() for W in ws} == want, P
+
+
+def test_steps_are_orders_one_step_weaker_or_stronger():
+    # a step validates as a poset, and lies below P under sub and above it
+    # under rev, with exactly one order pair or box fewer under sub
+    cfg = make_cfg(29, max_events=4)
+    grng = cfg.rng()
+    for _ in range(60):
+        P = testkit.gen_poset(cfg, grng)
+        for W in steps(P, "sub"):
+            Poset(W.labels, W.order, W.boxes)
+            assert subsumed_by(P, W)
+            assert len(P.order) + len(P.boxes) == \
+                len(W.order) + len(W.boxes) + 1
+        for W in steps(P, "rev"):
+            Poset(W.labels, W.order, W.boxes)
+            assert subsumed_by(W, P) and W.order > P.order
+            assert W.boxes == P.boxes
 
 
 def test_strengthenings_are_stronger():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 from pombox import posets, terms, logic, testkit
 from pombox.testkit import (
@@ -115,6 +116,26 @@ def test_shrink_preserves_the_mismatch_shape():
     s = shrink(d)
     assert s.shrunk
     assert s.poset.n <= P.n
+
+
+def test_shrink_returns_when_the_mismatch_persists_on_emp(monkeypatch):
+    # a broken engine that calls emp true on one event: the mismatch on
+    # emp persists when shrink offers emp again, which must not count as
+    # progress; past 200 engine calls shrink is looping
+    real = logic.sat_bool
+    calls = []
+
+    def broken(P, f, rel):
+        calls.append(None)
+        assert len(calls) < 200, "shrink loops"
+        return (f == logic.EMP and P.n == 1) or real(P, f, rel)
+
+    monkeypatch.setattr(logic, "sat_bool", broken)
+    start = time.perf_counter()
+    s = shrink(Discrepancy(posets.atom("a"), logic.EMP, "iso", False, True))
+    assert time.perf_counter() - start < 1.0
+    assert posets.iso(s.poset, posets.atom("a")) and s.formula == logic.EMP
+    assert (s.expected, s.actual) == (False, True)
 
 
 def test_discrepancy_as_dict_is_replayable():

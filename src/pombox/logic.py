@@ -128,16 +128,51 @@ def shape(f):
     return out if len(out) <= _SHAPE_LIMIT else None
 
 
+def _boxed_cuts(P, f, left, right):
+    """The cuts A of P the split clause f tries under iso and sub when an
+    operand is a box modality, in the order of posets.subsets: a [g]
+    operand's side is empty or one of P's boxes (see _choose), and both
+    sides carry label multisets the operands' shapes left and right
+    admit, as in posets.cuts."""
+    all_ev = frozenset(range(P.n))
+    sides = P.boxes | {frozenset()}
+    comps = {all_ev - B for B in sides}
+    found = (sides if f[1][0] == "boxmod" else comps) & \
+        (comps if f[0] != "ctx" and f[2][0] == "boxmod" else sides)
+
+    def fits(A, bound):
+        return bound is None or \
+            tuple(sorted(P.labels[e] for e in A)) in bound
+    return sorted((A for A in found
+                   if fits(A, left) and fits(all_ev - A, right)),
+                  key=lambda A: (len(A), sorted(A)))
+
+
 def _choose(P, f, rel):
     """How the top clause of f holds on P: the split A for |>, || and <>,
     "left" or "right" for \\/, True for the other clauses, and None when
     the clause fails.  The empty split is a valid choice, so callers test
-    the result against None."""
+    the result against None.
+
+    A split clause tries only the cuts whose sides carry label multisets
+    its operands' shapes admit.  Under iso and sub it also tries a [g]
+    operand's side only when that side is empty or one of P's boxes
+    (_boxed_cuts): a box modality holds on a non-empty poset only when
+    that poset is one box (_box_interior), and P.restrict(A) keeps just
+    the boxes inside A, so it has the full box exactly when A is one of
+    P's boxes.  Every other cut would fail on that side.  Under rev any
+    side may be boxed, so no cut is dropped there."""
     kind = f[0]
     if kind in _SPLITS:
         all_ev = frozenset(range(P.n))
+        left = shape(f[1])
         right = None if kind == "ctx" else shape(f[2])
-        for A in cuts(P, shape(f[1]), right):
+        # f[-1] is the right operand, or the only one of a <>
+        if rel == "rev" or "boxmod" not in (f[1][0], f[-1][0]):
+            found = cuts(P, left, right)
+        else:
+            found = _boxed_cuts(P, f, left, right)
+        for A in found:
             comp = all_ev - A
             if not split_ok(P, A, comp, kind, rel):
                 continue

@@ -158,7 +158,8 @@ def canonical_key_reference(P):
 
 def choose_reference(P, f, rel):
     """logic._choose with its split clauses searched over every subset,
-    the reference for the label-filtered posets.cuts."""
+    the reference for the label-filtered posets.cuts and the box-side
+    prune of logic._boxed_cuts."""
     kind = f[0]
     if kind not in logic._SPLITS:
         return logic._choose(P, f, rel)

@@ -314,6 +314,19 @@ def test_examples_voting_passes():
     assert "FAIL" not in r.stdout
 
 
+@pytest.mark.parametrize("voters,counters", [(3, 2), (3, 3)])
+def test_examples_voting_answers_larger_sizes(voters, counters):
+    # a [g] side is tried only on P's boxes; walking every subset took
+    # 33 s at 3x2 and 470 s at 3x3
+    r = subprocess.run(
+        [sys.executable, "-m", "pombox.cli", "examples", "voting",
+         "--voters", str(voters), "--counters", str(counters)],
+        capture_output=True, text=True, timeout=30)
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
+
+
 def test_fuzz_clean():
     r = run_cli("fuzz", "--cases", "15", "--seed", "4", "--max-events", "3")
     assert r.returncode == 0 and r.stdout.strip() == ""

@@ -236,6 +236,55 @@ def test_choose_matches_the_all_subsets_reference():
                         references.choose_reference(Q, g, rel), (Q, g, rel)
 
 
+def _box_heavy_poset(rng, n):
+    """n events over a, b with 2-4 boxes drawn from: the full box, a
+    single event, a range, a range nested in it and one disjoint from
+    it."""
+    labels = [rng.choice("ab") for _ in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.3]
+    i = rng.randrange(n)
+    j = rng.randrange(i, n)
+    kinds = [range(n), [rng.randrange(n)], range(i, j + 1),
+             range(i, rng.randint(i, j) + 1),
+             range(rng.randint(j + 1, n), n) or range(i)]
+    boxes = sorted({tuple(box) for box in kinds if box})
+    boxes = rng.sample(boxes, rng.randint(2, min(4, len(boxes))))
+    return posets.from_edges(labels, edges, boxes)
+
+
+def test_boxed_sides_match_the_all_subsets_reference():
+    # [g] operands on either side of each split; emp and <>emp make the
+    # empty side the first cut that holds
+    inner = ["emp", "<>emp", "a", "a||b", "<>a", "b|>a"]
+    forms = ["<>[%s]" % g for g in inner]
+    for g, h in zip(inner, inner[1:] + inner[:1]):
+        forms += ["[%s]|>%s" % (g, h), "%s|>[%s]" % (h, g),
+                  "[%s]||[%s]" % (g, h)]
+    forms = [parse_formula(text) for text in forms]
+    rng = testkit.GenConfig(seed=83).rng()
+    held = 0
+    for n in [2, 3, 4, 5, 6, 7] * 2:
+        P = _box_heavy_poset(rng, n)
+        for rel in logic.RELATIONS:
+            for f in forms:
+                for A in posets.subsets(P.n):
+                    Q = P.restrict(A)
+                    cut = references.choose_reference(Q, f, rel)
+                    assert logic._choose(Q, f, rel) == cut, (Q, f, rel)
+                    if cut is None:
+                        continue
+                    held += 1
+                    parts = [sat(Q.restrict(side), g, rel).witness
+                             for side, g in zip(
+                                 (cut, frozenset(range(Q.n)) - cut), f[1:])]
+                    names = ["sub"] if f[0] == "ctx" else ["left", "right"]
+                    expected = dict(zip(names, parts), rule=f[0],
+                                    A=sorted(cut))
+                    assert sat(Q, f, rel).witness == expected, (Q, f, rel)
+    assert held > 5000
+
+
 def test_memo_tells_apart_posets_with_other_label_counts():
     aab = interp_sp(parse_term("a|a|b"))
     abb = interp_sp(parse_term("a|b|b"))
